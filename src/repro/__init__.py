@@ -256,8 +256,10 @@ coalescing window with an EWMA arrival-rate controller
 (:class:`~repro.serve.AdaptiveWindow`) bounded by
 :class:`~repro.serve.WindowOptions`.  The engine is reachable over the
 network through the stdlib HTTP adapter
-(:class:`~repro.serve.ServeHTTPServer` — JSON in/out, float64 bitwise
-across the wire) and a transport-agnostic client layer
+(:class:`~repro.serve.ServeHTTPServer` — JSON in/out, rows either as
+nested lists or packed as base64 float64 bytes, values answered in the
+same form, float64 bitwise across the wire either way) and a
+transport-agnostic client layer
 (:class:`~repro.serve.LocalClient` / :class:`~repro.serve.HttpClient`,
 one :class:`~repro.serve.ServeClient` interface)::
 

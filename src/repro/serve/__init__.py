@@ -42,8 +42,9 @@ histogram.
 
 **Transports.**  :class:`~repro.serve.http.ServeHTTPServer`
 (:mod:`repro.serve.http`) exposes a live engine over stdlib HTTP —
-``POST /predict`` JSON in/out (float64 survives the JSON round trip
-bitwise), ``GET /healthz`` and ``GET /metrics`` — and
+``POST /predict`` JSON in/out (rows as nested lists or packed as
+base64 float64 bytes, answered in kind; float64 survives the round
+trip bitwise either way), ``GET /healthz`` and ``GET /metrics`` — and
 :mod:`repro.serve.client` gives callers one :class:`ServeClient`
 interface with :class:`LocalClient` (in-process) and
 :class:`HttpClient` (network) implementations, raising the same

@@ -24,10 +24,19 @@ work runs (see the scheduling notes in :mod:`repro.serve.server`), so a
 :class:`PredictResponse` is only ever produced for served requests —
 ``shed`` exists on the response for adapters that serialize failures
 into the same wire schema (the HTTP adapter's error bodies).
+
+On the wire a row array travels in one of two JSON forms: a nested
+list of numbers, or *packed* by :func:`pack_rows` as ``{"shape": [b,
+d], "f8": "<base64>"}`` — the C-order little-endian float64 bytes.
+Both carry the same float64 bits; packing skips the per-float text
+conversion, which dominates the cost of a JSON body of many rows.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import math
 import uuid
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -36,7 +45,57 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["PredictRequest", "PredictResponse"]
+__all__ = ["PredictRequest", "PredictResponse", "pack_rows", "unpack_rows"]
+
+_F8 = np.dtype("<f8")
+
+
+def pack_rows(rows: Any) -> dict[str, Any]:
+    """The packed JSON form of a float64 array of at most 2 dimensions
+    (rows ``(b, d)`` or ``(d,)``; a single-output model answers a single
+    sample with a 0-d value)."""
+    rows = np.asarray(rows, dtype=_F8)
+    return {
+        "shape": list(rows.shape),
+        "f8": base64.b64encode(rows.tobytes()).decode("ascii"),
+    }
+
+
+def unpack_rows(packed: Any) -> np.ndarray:
+    """Inverse of :func:`pack_rows`; :class:`ConfigurationError` on a
+    malformed packed object.  A 0-d shape unpacks too (it is a valid
+    answer); as a request it fails the engine's ``(b, d)``/``(d,)``
+    check like a bare JSON number does."""
+    if not isinstance(packed, dict) or set(packed) != {"shape", "f8"}:
+        raise ConfigurationError(
+            'packed rows must be an object with exactly the keys "shape" '
+            'and "f8"'
+        )
+    shape = packed["shape"]
+    if (
+        not isinstance(shape, list)
+        or len(shape) > 2
+        or not all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ConfigurationError(
+            "packed shape must be at most 2 non-negative integers, got "
+            f"{shape!r}"
+        )
+    if not isinstance(packed["f8"], str):
+        raise ConfigurationError("packed f8 must be a base64 string")
+    try:
+        raw = base64.b64decode(packed["f8"], validate=True)
+    except binascii.Error as exc:
+        raise ConfigurationError(
+            f"packed f8 is not valid base64: {exc}"
+        ) from exc
+    # Python ints: a product of hostile shape entries must not wrap.
+    if len(raw) != 8 * math.prod(shape):
+        raise ConfigurationError(
+            f"packed f8 holds {len(raw)} bytes, shape {shape} needs "
+            f"{8 * math.prod(shape)}"
+        )
+    return np.frombuffer(raw, dtype=_F8).astype(np.float64).reshape(shape)
 
 
 def _new_request_id() -> str:
@@ -136,12 +195,14 @@ class PredictResponse:
     shed: bool = False
     retries: int = 0
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready form (``values`` as nested lists; floats survive
-        the round-trip bitwise — :func:`json.dumps` emits shortest
-        round-trip reprs)."""
+    def as_dict(self, *, packed: bool = False) -> dict[str, Any]:
+        """JSON-ready form: ``values`` as nested lists, or as
+        :func:`pack_rows` output when ``packed``.  Either way the floats
+        survive the round trip bitwise (packed carries the bytes;
+        :func:`json.dumps` emits shortest round-trip reprs)."""
+        values = np.asarray(self.values)
         return {
-            "values": np.asarray(self.values).tolist(),
+            "values": pack_rows(values) if packed else values.tolist(),
             "run_id": self.run_id,
             "request_id": self.request_id,
             "queue_s": self.queue_s,

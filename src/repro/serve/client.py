@@ -9,8 +9,10 @@ engine and a network adapter:
   (zero copies beyond the engine's own; the reference for latency);
 - :class:`HttpClient` speaks JSON to a :class:`~repro.serve.http
   .ServeHTTPServer` over stdlib :mod:`urllib` (no third-party HTTP
-  stack), raising the same exception types the engine raises locally —
-  :class:`~repro.exceptions.DeadlineExceeded` for shed requests,
+  stack), sending rows packed as base64 float64 bytes
+  (:func:`~repro.serve.api.pack_rows`) and getting values back packed
+  the same way.  It raises the same exception types the engine raises
+  locally — :class:`~repro.exceptions.DeadlineExceeded` for shed requests,
   :class:`~repro.exceptions.ShardError` for backpressure/unavailable,
   :class:`~repro.exceptions.ConfigurationError` for malformed input —
   so QoS handling code is transport-agnostic too.
@@ -18,10 +20,11 @@ engine and a network adapter:
 Both speak the typed vocabulary of :mod:`repro.serve.api`:
 ``predict(x)`` keeps the historical array-out contract,
 ``predict_request(...)`` returns a full
-:class:`~repro.serve.PredictResponse`.  JSON round-trips float64
-losslessly in both directions, so :meth:`HttpClient.predict` returns
-bits identical to :meth:`LocalClient.predict` on the same engine
-(pinned in ``tests/test_serve_http.py``).
+:class:`~repro.serve.PredictResponse`.  The packed rows carry the
+float64 bytes themselves in both directions, so
+:meth:`HttpClient.predict` returns bits identical to
+:meth:`LocalClient.predict` on the same engine (pinned in
+``tests/test_serve_http.py``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ from repro.exceptions import (
     DeadlineExceeded,
     ShardError,
 )
-from repro.serve.api import PredictRequest, PredictResponse
+from repro.serve.api import (
+    PredictRequest,
+    PredictResponse,
+    pack_rows,
+    unpack_rows,
+)
 
 __all__ = ["HttpClient", "LocalClient", "ServeClient"]
 
@@ -173,10 +181,8 @@ class HttpClient:
     ) -> PredictResponse:
         if not isinstance(request, PredictRequest):
             request = PredictRequest(rows=request)
-        rows = np.asarray(request.rows, dtype=np.float64)
-        squeeze = rows.ndim == 1
         body: dict[str, Any] = {
-            "rows": rows.tolist(),
+            "rows": pack_rows(request.rows),
             "priority": request.priority,
             "request_id": request.request_id,
         }
@@ -187,11 +193,8 @@ class HttpClient:
         status, payload = self._round_trip("/predict", body, timeout)
         if status != 200:
             self._raise_for(status, payload)
-        values = np.asarray(payload["values"], dtype=np.float64)
-        if squeeze and values.ndim != 1:  # pragma: no cover - server bug
-            values = values[0]
         return PredictResponse(
-            values=values,
+            values=unpack_rows(payload["values"]),
             run_id=str(payload.get("run_id", "")),
             request_id=str(payload.get("request_id", request.request_id)),
             queue_s=float(payload.get("queue_s", float("nan"))),

@@ -8,18 +8,25 @@ typed :class:`~repro.serve.PredictRequest` /
 :class:`~repro.serve.PredictResponse` vocabulary:
 
 ``POST /predict``
-    Body ``{"rows": [[...], ...], "priority": 0, "deadline_s": 0.2,
+    Body ``{"rows": ..., "priority": 0, "deadline_s": 0.2,
     "request_id": "...", "tags": {...}}`` (everything but ``rows``
-    optional).  Replies ``200`` with a
+    optional).  ``rows`` is either a nested list ``[[...], ...]`` or
+    packed as ``{"shape": [b, d], "f8": "<base64>"}`` — the base64 of
+    the C-order little-endian float64 bytes
+    (:func:`~repro.serve.api.pack_rows`); :class:`~repro.serve
+    .HttpClient` always sends the packed form, hand-written clients
+    (curl) can keep the nested list.  Replies ``200`` with a
     :meth:`PredictResponse.as_dict() <repro.serve.PredictResponse
-    .as_dict>` payload — predicted values plus per-request timings
-    (``queue_s``/``batch_s``), the serving run id and the retry count.
+    .as_dict>` payload — predicted values, in the form the request's
+    rows used, plus per-request timings (``queue_s``/``batch_s``), the
+    serving run id and the retry count.
     Errors map onto transport-meaningful statuses: ``400`` for
-    malformed requests (bad JSON, wrong shape/features), ``503`` with
-    ``Retry-After`` when the queue is at its backpressure bound, and
-    ``504`` with ``{"shed": true, "error": "deadline_exceeded"}`` when
-    the request's deadline expired before its tick (the dispatcher shed
-    it without spending shard work).
+    malformed requests (bad JSON, a malformed packed object, wrong
+    shape/features, non-finite rows), ``503`` with ``Retry-After`` when
+    the queue is at its backpressure bound, and ``504`` with
+    ``{"shed": true, "error": "deadline_exceeded"}`` when the request's
+    deadline expired before its tick (the dispatcher shed it without
+    spending shard work).
 
 ``GET /healthz``
     Liveness/readiness: ``200 {"status": "ok", ...}`` while serving,
@@ -29,14 +36,17 @@ typed :class:`~repro.serve.PredictRequest` /
     The run-ID-stamped :meth:`~repro.serve.ModelServer.stats` snapshot
     as JSON — counters, gauges and latency histograms with p50/p95/p99.
 
-**Bitwise contract, over the wire.**  JSON is a lossless float64
-transport in both directions: ``json.dumps`` emits shortest
-round-trip reprs and ``json.loads`` parses them back to the identical
-IEEE-754 double, so ``POST /predict`` responses carry *exactly* the
+**Bitwise contract, over the wire.**  Both row forms are lossless
+float64 transports in both directions.  The packed form carries the
+IEEE-754 bytes themselves; for the nested list, ``json.dumps`` emits
+shortest round-trip reprs and ``json.loads`` parses them back to the
+identical double.  So ``POST /predict`` responses carry *exactly* the
 bits an in-process :meth:`~repro.serve.ModelServer.predict` — and
 therefore a solo :func:`~repro.shard.sharded_predict` — would return
 (pinned by ``tests/test_serve_http.py`` and the
-``bench_serve.py --http`` smoke).
+``bench_serve.py --http`` smoke).  The packed form is the fast one:
+it skips the per-float text conversion that otherwise dominates a
+many-row request on both ends.
 
 The adapter *borrows* the :class:`~repro.serve.ModelServer` by default
 (closing the adapter stops the listener but leaves the engine serving
@@ -59,14 +69,15 @@ from repro.exceptions import (
     ReproError,
     ShardError,
 )
-from repro.serve.api import PredictRequest, PredictResponse
+from repro.serve.api import PredictRequest, PredictResponse, unpack_rows
 
 __all__ = ["ServeHTTPServer"]
 
 _LOG = logging.getLogger("repro.serve.http")
 
 #: Largest accepted ``POST /predict`` body; a row payload beyond this is
-#: a misbehaving client, not load (64 MiB of JSON is ~4M float64 reprs).
+#: a misbehaving client, not load (64 MiB of JSON is ~4M float64 reprs
+#: as a nested list, or ~6M float64 values packed as base64).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
@@ -84,8 +95,11 @@ def _request_from_payload(payload: Any) -> PredictRequest:
             f"unknown predict fields {sorted(unknown)}; expected rows, "
             "priority, deadline_s, request_id, tags"
         )
-    rows = np.asarray(payload["rows"], dtype=np.float64)
-    kwargs: dict[str, Any] = {"rows": rows}
+    rows = payload["rows"]
+    kwargs: dict[str, Any] = {
+        "rows": unpack_rows(rows) if isinstance(rows, dict)
+        else np.asarray(rows, dtype=np.float64),
+    }
     if payload.get("priority") is not None:
         kwargs["priority"] = int(payload["priority"])
     if payload.get("deadline_s") is not None:
@@ -114,7 +128,15 @@ class _Handler(BaseHTTPRequestHandler):
         _LOG.debug("%s %s", self.address_string(), fmt % args)
 
     def _reply(self, status: int, payload: dict, headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as exc:
+            # NaN/Inf has no standard JSON spelling: fail the reply
+            # rather than send a body strict parsers reject.
+            status = 500
+            body = json.dumps(
+                {"error": "non_finite_reply", "detail": str(exc)}
+            ).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -214,7 +236,8 @@ class _Handler(BaseHTTPRequestHandler):
                  "request_id": request.request_id},
             )
             return
-        self._reply(200, response.as_dict())
+        packed = isinstance(payload["rows"], dict)  # answer in kind
+        self._reply(200, response.as_dict(packed=packed))
 
 
 class ServeHTTPServer:

@@ -469,7 +469,9 @@ class ModelServer:
         :func:`~repro.shard.sharded_predict` call on the group.  For a
         future that resolves to a full
         :class:`~repro.serve.PredictResponse`, use
-        :meth:`submit_request`.
+        :meth:`submit_request`.  Rows with a NaN or infinity raise
+        :class:`~repro.exceptions.ConfigurationError`, the same input
+        contract ``fit()`` applies.
         """
         return self._enqueue(self._as_request(x), wants_response=False)
 
@@ -504,6 +506,8 @@ class ModelServer:
                 f"request has {x_host.shape[1]} features, model expects "
                 f"{self._d}"
             )
+        if not np.isfinite(x_host).all():
+            raise ConfigurationError("x contains non-finite values")
         now = time.perf_counter()
         req = _Request(
             x=x_host,

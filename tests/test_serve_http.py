@@ -3,7 +3,8 @@
 The load-bearing claim is that HTTP adds a *transport*, not a numeric
 path: ``POST /predict`` responses are bit-identical to in-process
 :meth:`~repro.serve.ModelServer.predict` — and therefore to a solo
-:func:`~repro.shard.sharded_predict` — because JSON round-trips float64
+:func:`~repro.shard.sharded_predict` — because both row forms (nested
+JSON lists and packed base64 float64 bytes) round-trip float64
 losslessly.  Around that: the health/metrics endpoints, the error
 mapping (400 malformed / 503 backpressure / 504 shed), the per-request
 timings on the wire, and the :class:`~repro.serve.ServeClient`
@@ -35,6 +36,7 @@ from repro.serve import (
     ServeHTTPServer,
     ServeOptions,
 )
+from repro.serve.api import pack_rows, unpack_rows
 from repro.shard import ShardGroup, sharded_predict
 
 N, D, L = 151, 4, 3
@@ -102,6 +104,24 @@ def test_http_client_predict_bitwise(served):
     )
 
 
+@pytest.mark.parametrize("rows", [0, 1, 7, 23, None],
+                         ids=["b0", "b1", "b7", "b23", "single"])
+def test_packed_round_trip_bitwise(served, rows):
+    """HttpClient sends packed rows and gets packed values back; a bare
+    POST with packed rows is answered packed too."""
+    _, server, http_srv = served
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal(D if rows is None else (rows, D))
+    want = server.predict(x, timeout=60)
+    got = HttpClient(http_srv.url).predict(x)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    status, payload = _post(f"{http_srv.url}/predict", {"rows": pack_rows(x)})
+    assert status == 200
+    assert payload["values"]["shape"] == list(want.shape)
+    np.testing.assert_array_equal(unpack_rows(payload["values"]), want)
+
+
 def test_single_sample_round_trip(served):
     group, server, http_srv = served
     x = np.random.default_rng(41).standard_normal(D)
@@ -166,6 +186,11 @@ def test_unknown_routes_404(served):
 # --------------------------------------------------------------------------
 
 
+#: One packed zero row; its byte count (8*D) also matches the 3-D and
+#: sign-flipped shapes below, so only the shape check can reject those.
+_ONE_ROW = pack_rows(np.zeros((1, D)))
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -175,15 +200,94 @@ def test_unknown_routes_404(served):
         {"rows": [[0.0] * (D + 1)]},  # wrong feature count
         {"rows": [[0.0] * D], "tags": "not-a-dict"},
         {"rows": [[0.0] * D], "deadline_s": -1.0},
+        {"rows": {"shape": [1, D], "f8": "not base64!"}},
+        {"rows": {"shape": [2, D], "f8": _ONE_ROW["f8"]}},
+        {"rows": {"shape": [1, 1, D], "f8": _ONE_ROW["f8"]}},
+        {"rows": {"shape": [-1, -D], "f8": _ONE_ROW["f8"]}},
+        {"rows": {**_ONE_ROW, "dtype": "f8"}},
     ],
     ids=["no-rows", "unknown-field", "non-numeric", "bad-features",
-         "bad-tags", "bad-deadline"],
+         "bad-tags", "bad-deadline", "packed-bad-base64",
+         "packed-length-mismatch", "packed-3d", "packed-negative-shape",
+         "packed-extra-key"],
 )
 def test_malformed_requests_400(served, payload):
     _, _, http_srv = served
     status, body = _post(f"{http_srv.url}/predict", payload)
     assert status == 400
     assert body["error"] == "bad_request" and body["detail"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(served, bad):
+    """NaN/Inf rows are a client error in both row forms (400, never a
+    200 carrying non-standard JSON), and a ConfigurationError
+    in-process."""
+    _, server, http_srv = served
+    x = np.zeros((2, D))
+    x[1, 2] = bad
+    for rows in (x.tolist(), pack_rows(x)):
+        status, body = _post(f"{http_srv.url}/predict", {"rows": rows})
+        assert status == 400 and "non-finite" in body["detail"]
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        HttpClient(http_srv.url).predict(x)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        server.predict(x, timeout=60)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        server.submit_request(PredictRequest(rows=x[1]))
+
+
+@pytest.fixture
+def single_output_served():
+    """A single-output model (1-D weights) on its own engine + adapter,
+    so a single sample is answered with a 0-d value."""
+    rng = np.random.default_rng(53)
+    with ShardGroup.build(
+        rng.standard_normal((40, D)), rng.standard_normal(40), g=2,
+        kernel=GaussianKernel(bandwidth=2.0), transport="thread",
+    ) as group:
+        with ModelServer(group=group) as server:
+            with ServeHTTPServer(server) as http_srv:
+                yield server, http_srv
+
+
+def test_zero_d_value_round_trip(single_output_served):
+    server, http_srv = single_output_served
+    x = np.random.default_rng(59).standard_normal(D)
+    want = server.predict(x, timeout=60)
+    assert want.shape == ()
+    got = HttpClient(http_srv.url).predict(x)
+    assert got.shape == () and got.tobytes() == want.tobytes()
+    status, payload = _post(f"{http_srv.url}/predict", {"rows": x.tolist()})
+    assert status == 200 and payload["values"] == float(want)
+    # A 0-d *request* is still a bad request, packed or not.
+    for rows in (1.0, pack_rows(np.float64(1.0))):
+        status, body = _post(f"{http_srv.url}/predict", {"rows": rows})
+        assert status == 400 and "(b, d) or (d,)" in body["detail"]
+
+
+def test_non_finite_values_reply(single_output_served):
+    """A diverged model (NaN weights) predicts NaN from finite rows.  The
+    packed form carries those bits like any others; the nested list has
+    no standard JSON spelling for them, so that reply is a 500, never a
+    200 with a body strict parsers reject."""
+    server, http_srv = single_output_served
+    weights = np.full(40, np.nan)
+    with ShardGroup.build(
+        np.zeros((40, D)), weights, g=2,
+        kernel=GaussianKernel(bandwidth=2.0), transport="thread",
+    ) as group:
+        with ModelServer(group=group) as nan_server:
+            with ServeHTTPServer(nan_server) as nan_http:
+                x = np.zeros((2, D))
+                want = nan_server.predict(x, timeout=60)
+                assert np.isnan(want).all()
+                got = HttpClient(nan_http.url).predict(x)
+                assert got.tobytes() == want.tobytes()
+                status, body = _post(
+                    f"{nan_http.url}/predict", {"rows": x.tolist()}
+                )
+                assert status == 500 and body["error"] == "non_finite_reply"
 
 
 def test_expired_deadline_maps_to_504_shed(served):

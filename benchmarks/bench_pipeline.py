@@ -1,9 +1,9 @@
-"""Bench: pipelined (double-buffered) vs serial iteration engine.
+"""Bench: pipelined (double-buffered) vs serial sharded iteration engine.
 
 Runs the same iteration workload through the serial engine (barrier per
 collective step) and the software pipeline (next batch's kernel block
-formed while the current step's all-reduce + update + correction run),
-single-device and sharded, emitting a rendered table *and* a
+formed while the current step's all-reduce + update + correction run)
+at each shard count, emitting a rendered table *and* a
 machine-readable JSON file (``benchmarks/results/pipeline.json``) with
 per-iteration wall times, measured speedups and the cost model's view of
 the overlap.

@@ -86,7 +86,7 @@ def serve_options(concurrency: int) -> ServeOptions:
     window timeout only pays off when stragglers are still in flight.
     """
     return ServeOptions(
-        max_batch_requests=concurrency, batch_wait_s=BATCH_WAIT_S
+        max_batch_requests=concurrency, batch_wait=BATCH_WAIT_S
     )
 
 

@@ -301,9 +301,9 @@ def resolve_dtype(dtype: object | None) -> np.dtype:
 #: pairwise layer would silently *discard* (shape or dtype mismatch)
 #: raises instead — so a workspace regression (a hot path quietly
 #: re-allocating its block every step) cannot land unnoticed.  The flag
-#: is deliberately *process-global*, not thread-scoped: the pipelined
-#: trainer and the shard engine form their blocks on worker threads, and
-#: the whole point is to catch a discarded buffer wherever it happens.
+#: is deliberately *process-global*, not thread-scoped: the shard engine
+#: forms its blocks on worker threads, and the whole point is to catch a
+#: discarded buffer wherever it happens.
 #: Enabled by the ``REPRO_DEBUG_WORKSPACE`` environment variable or the
 #: :class:`debug_workspace` context manager (tests use the latter).
 _WORKSPACE_DEBUG = {

@@ -248,10 +248,8 @@ class EigenPro2(BaseKernelTrainer):
         (Eq. 7 + Appendix-B adjustment), ``0`` disables preconditioning.
     q_max:
         Number of eigenpairs extracted for the Eq.-7 scan.
-    batch_size, step_size, damping, seed, block_scalars, monitor_size,
-    pipeline:
-        See :class:`~repro.core.trainer.BaseKernelTrainer`; ``pipeline=True``
-        overlaps next-block formation with the update/correction.
+    batch_size, step_size, damping, seed, block_scalars, monitor_size:
+        See :class:`~repro.core.trainer.BaseKernelTrainer`.
 
     Attributes
     ----------
@@ -288,7 +286,6 @@ class EigenPro2(BaseKernelTrainer):
         block_scalars: int = 8_000_000,
         monitor_size: int = 2000,
         damping: float = 1.0,
-        pipeline: bool = False,
     ) -> None:
         super().__init__(
             kernel,
@@ -299,7 +296,6 @@ class EigenPro2(BaseKernelTrainer):
             block_scalars=block_scalars,
             monitor_size=monitor_size,
             damping=damping,
-            pipeline=pipeline,
         )
         self.requested_s = s
         self.requested_q = q

@@ -14,21 +14,6 @@ kernel SGD), device memory accounting per the paper's space model
 ``(d + l + m) * n``, simulated-time charging, train/validation monitoring
 and early stopping.  Subclasses override the three hooks.
 
-Pipelined iteration (``pipeline=True``)
----------------------------------------
-The ``(m, n)`` batch-vs-centers kernel block dominates per-iteration cost
-yet depends only on ``x[idx]`` and the centers — never on ``alpha`` — so
-the *next* step's block can be formed while the current step's GEMM,
-coordinate update and correction run.  With ``pipeline=True`` a single
-background worker does exactly that, writing into the rotating
-double-buffer slots of the shared :class:`~repro.kernels.ops.BlockWorkspace`
-(two in-flight blocks, never a stale read: step ``t+1``'s block is a pure
-function of data the update never touches).  BLAS releases the GIL, so
-the overlap pays even on the pure-NumPy backend.  Results are bitwise
-identical to the serial engine — both paths run the same
-``_form_block`` / ``_consume_block`` code — and op counts recorded on the
-worker are relayed to the caller's meters when the block is consumed.
-
 Update convention
 -----------------
 The batch coordinate update is ``alpha_t -= (eta / m) * (f(x_t) - y_t)``
@@ -40,25 +25,17 @@ factor-bookkeeping against the paper's Eq. 2).
 
 from __future__ import annotations
 
-import contextlib
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from repro.backend import (
-    get_backend,
-    match_dtype,
-    use_backend,
-    use_precision,
-)
+from repro.backend import get_backend, match_dtype
 from repro.config import (
     DEFAULT_BLOCK_SCALARS,
     accumulate_dtype,
     compute_dtype,
-    current_precision,
     mixed_precision_active,
 )
 from repro.core.model import KernelModel, as_labels
@@ -66,102 +43,15 @@ from repro.kernels.ops import block_workspace, center_sq_norms
 from repro.core.stopping import TrainMSETarget, ValidationPlateau
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.instrument import OpMeter, meter_scope, record_ops, relay_op_counts
+from repro.instrument import record_ops
 from repro.kernels.base import Kernel
-from repro.observe.tracer import (
-    Tracer,
-    relay_spans,
-    span,
-    trace_scope,
-    tracing_active,
-)
+from repro.observe.tracer import span
 
 __all__ = [
     "EpochRecord",
     "TrainingHistory",
-    "BlockPrefetcher",
     "BaseKernelTrainer",
 ]
-
-
-class BlockPrefetcher:
-    """One background worker forming next-step kernel blocks.
-
-    The pipelined training loop submits a thunk that forms step ``t+1``'s
-    batch block while the caller thread consumes step ``t``'s.  The worker
-    re-establishes the caller's backend and (explicit) precision scopes —
-    both are thread-local — and meters its work on a private
-    :class:`~repro.instrument.OpMeter` whose counts are relayed to the
-    caller's ambient meters when :meth:`_PrefetchHandle.result` is awaited,
-    keeping aggregate op counts identical to the serial engine.
-    """
-
-    def __init__(self, name: str = "repro-pipeline") -> None:
-        self._pool: ThreadPoolExecutor | None = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=name
-        )
-
-    def submit(self, fn: Callable[[], Any]) -> "_PrefetchHandle":
-        """Schedule ``fn()`` on the worker under the caller's scopes."""
-        if self._pool is None:
-            raise ConfigurationError("prefetcher is closed")
-        backend = get_backend()
-        precision = current_precision()
-        meter = OpMeter()
-        # Like the meter: spans measured on the worker thread are
-        # collected privately and relayed when the handle is awaited.
-        tracer = Tracer() if tracing_active() else None
-
-        def task() -> Any:
-            scope = (
-                use_precision(precision)
-                if precision is not None
-                else contextlib.nullcontext()
-            )
-            tscope = (
-                trace_scope(tracer)
-                if tracer is not None
-                else contextlib.nullcontext()
-            )
-            with scope, use_backend(backend), meter_scope(meter), tscope:
-                return fn()
-
-        return _PrefetchHandle(self._pool.submit(task), meter, tracer)
-
-    def close(self) -> None:
-        """Drop the worker's pooled workspace scratch and join it."""
-        if self._pool is None:
-            return
-        try:
-            self._pool.submit(lambda: block_workspace().reset()).result()
-        finally:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class _PrefetchHandle:
-    """Future for one prefetched block; relays op counts (and spans,
-    when the submitter had tracing enabled) on await."""
-
-    def __init__(
-        self,
-        future: Future,
-        meter: OpMeter,
-        tracer: Tracer | None = None,
-    ) -> None:
-        self._future = future
-        self._meter = meter
-        self._tracer = tracer
-        self._relayed = False
-
-    def result(self) -> Any:
-        value = self._future.result()
-        if not self._relayed:
-            self._relayed = True
-            relay_op_counts(self._meter.as_dict())
-            if self._tracer is not None:
-                relay_spans(ev.as_dict() for ev in self._tracer.events)
-        return value
 
 
 @dataclass(frozen=True)
@@ -231,10 +121,6 @@ class BaseKernelTrainer:
         Safety factor multiplied into the analytic step size; 1.0 applies
         the theoretical optimum, values slightly below absorb estimation
         error in the subsample eigenvalues.
-    pipeline:
-        When True, overlap the formation of the next step's kernel block
-        with the current step's GEMM/update/correction (see the module
-        docstring).  Numerically identical to the serial engine.
 
     Attributes (set by :meth:`fit`)
     -------------------------------
@@ -260,7 +146,6 @@ class BaseKernelTrainer:
         block_scalars: int = DEFAULT_BLOCK_SCALARS,
         monitor_size: int = 2000,
         damping: float = 1.0,
-        pipeline: bool = False,
     ) -> None:
         if batch_size is not None and batch_size < 1:
             raise ConfigurationError(
@@ -284,8 +169,6 @@ class BaseKernelTrainer:
         self.block_scalars = int(block_scalars)
         self.monitor_size = int(monitor_size)
         self.damping = float(damping)
-        self.pipeline = bool(pipeline)
-        self._prefetcher: BlockPrefetcher | None = None
         # Cursor state exposed for checkpointing (repro.shard.recovery):
         # the fit's shuffling RNG and the 1-based epoch being run.
         self._rng: np.random.Generator | None = None
@@ -461,9 +344,8 @@ class BaseKernelTrainer:
                 self._epoch = epoch
                 perm = rng.permutation(n)
                 # The epoch's batch index blocks, computed once per
-                # permutation (the pipelined engine needs to see step t+1
-                # while step t is in flight; the serial engine just
-                # iterates the same list).
+                # permutation (the sharded engine prefetches step t+1
+                # while step t is in flight).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
                 stop_now = False
                 if max_iterations is not None:
@@ -515,10 +397,6 @@ class BaseKernelTrainer:
             if self.device is not None:
                 for name in allocations:
                     self.device.memory.free_allocation(name)
-            if self._prefetcher is not None:
-                # Joins the worker and drops its pooled block scratch.
-                self._prefetcher.close()
-                self._prefetcher = None
             # The pooled (m, n) batch block can dwarf the blocked-predict
             # budget; don't leave it pinned for the thread's lifetime.
             block_workspace().reset()
@@ -531,44 +409,9 @@ class BaseKernelTrainer:
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
     ) -> None:
         """Run one epoch's mini-batch steps (``blocks`` is the epoch's
-        precomputed list of batch index arrays).
-
-        Dispatches to the serial loop or, with ``pipeline=True`` and more
-        than one step, the software-pipelined loop.  Both produce bitwise
-        identical state: they run the same ``_form_block`` /
-        ``_consume_block`` code, only the schedule differs.
-        """
-        if not self.pipeline or len(blocks) <= 1:
-            for idx in blocks:
-                self._iterate(x, y, idx, gamma)
-            return
-        self._run_epoch_pipelined(x, y, blocks, gamma)
-
-    def _run_epoch_pipelined(
-        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
-    ) -> None:
-        """Double-buffered epoch: while step ``t``'s GEMM, update and
-        correction run on this thread, the prefetch worker forms step
-        ``t+1``'s kernel block into the other workspace slot.  The block
-        future is awaited only when consumed, and nothing the worker reads
-        (``x``, the centers, the precomputed norms) is ever written by the
-        update, so no step can observe stale data."""
-        if self._prefetcher is None:
-            self._prefetcher = BlockPrefetcher()
-        prefetch = self._prefetcher
-        handle = prefetch.submit(
-            lambda: self._form_block(x, blocks[0], slot=0)
-        )
-        for t, idx in enumerate(blocks):
-            kb = handle.result()  # relays the worker's kernel_eval ops
-            if t + 1 < len(blocks):
-                nxt, slot = blocks[t + 1], (t + 1) % 2
-                handle = prefetch.submit(
-                    lambda nxt=nxt, slot=slot: self._form_block(
-                        x, nxt, slot=slot
-                    )
-                )
-            self._consume_block(kb, x, y, idx, gamma)
+        precomputed list of batch index arrays)."""
+        for idx in blocks:
+            self._iterate(x, y, idx, gamma)
 
     # -------------------------------------------------------- one iteration
     def _iterate(
@@ -584,22 +427,19 @@ class BaseKernelTrainer:
         """
         self._consume_block(self._form_block(x, idx), x, y, idx, gamma)
 
-    def _form_block(self, x: Any, idx: np.ndarray, slot: int = 0) -> Any:
+    def _form_block(self, x: Any, idx: np.ndarray) -> Any:
         """Form the ``(m, n)`` batch-vs-centers kernel block.
 
-        The block depends only on ``x[idx]`` and the centers — never on
-        ``alpha`` — which is what makes it legal to prefetch.  It lives in
-        the shared block workspace (``slot`` selects the double-buffer
-        half under pipelining) instead of being re-allocated every step,
-        and both row and center squared norms come precomputed: the batch
-        rows are sliced from ``self._x_sq_norms`` rather than re-reduced
-        every iteration.
+        The block lives in the shared block workspace instead of being
+        re-allocated every step, and both row and center squared norms
+        come precomputed: the batch rows are sliced from
+        ``self._x_sq_norms`` rather than re-reduced every iteration.
         """
         bk = get_backend()
         block_dtype = self.kernel._eval_dtype(x, x)
-        with span("form_block", slot=slot, m=int(idx.shape[0])):
+        with span("form_block", m=int(idx.shape[0])):
             scratch = block_workspace().get(
-                bk, idx.shape[0], x.shape[0], block_dtype, slot=slot
+                bk, idx.shape[0], x.shape[0], block_dtype
             )
             x_norms = (
                 None if self._x_sq_norms is None else self._x_sq_norms[idx]
@@ -616,9 +456,7 @@ class BaseKernelTrainer:
         self, kb: Any, x: Any, y: Any, idx: np.ndarray, gamma: float
     ) -> None:
         """Steps 2–5 given the batch block: GEMM, coordinate update,
-        correction.  Must finish before the same workspace slot is
-        reused — the serial loop guarantees this trivially, the pipelined
-        loop by alternating slots."""
+        correction."""
         bk = get_backend()
         alpha_dtype = bk.dtype_of(self._alpha)
         with span("gemm", m=int(idx.shape[0])):

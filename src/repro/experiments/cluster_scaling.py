@@ -350,7 +350,8 @@ def run_shard_validation(
 
 @dataclass
 class PipelineOverlapConfig:
-    """Workload dimensions for the pipelined-vs-serial engine benchmark.
+    """Workload dimensions for the pipelined-vs-serial sharded engine
+    benchmark.
 
     The targets are synthetic RKHS-style regression values; only timing is
     read, but a well-conditioned problem keeps the arithmetic free of
@@ -363,7 +364,6 @@ class PipelineOverlapConfig:
     m: int = 512
     s: int = 1_200
     shard_counts: tuple[int, ...] = (2, 4)
-    include_single: bool = True
     n_iterations: int = 20
     rounds: int = 5
     warmup: int = 1
@@ -408,7 +408,7 @@ def run_pipeline_overlap(
     cfg: PipelineOverlapConfig | None = None,
 ) -> ExperimentResult:
     """Measure per-iteration wall time of the serial vs the pipelined
-    (double-buffered) iteration engine, single-device and sharded.
+    (double-buffered) sharded iteration engine at each shard count.
 
     Each engine is set up *once* (same selection, same shard group) and
     then timed with ``pipeline`` toggled, so the two measurements run the
@@ -424,7 +424,6 @@ def run_pipeline_overlap(
     """
     import os
 
-    from repro.core.eigenpro2 import EigenPro2
     from repro.device.cluster import pipelined_sync_time
     from repro.shard import ShardedEigenPro2
 
@@ -441,8 +440,8 @@ def run_pipeline_overlap(
     result = ExperimentResult(
         name="pipeline-overlap",
         title=(
-            "Pipelined (double-buffered) vs serial iteration engine "
-            "(measured per-iteration wall time)"
+            "Pipelined (double-buffered) vs serial sharded iteration "
+            "engine (measured per-iteration wall time)"
         ),
         notes=(
             f"workload: n={cfg.n}, d={cfg.d}, l={cfg.l}, m={cfg.m}, "
@@ -452,24 +451,15 @@ def run_pipeline_overlap(
         ),
     )
 
-    engines: list[tuple[str, int | None]] = []
-    if cfg.include_single:
-        engines.append(("single", None))
-    engines.extend((f"sharded-g{g}", g) for g in cfg.shard_counts)
-
     speedups: dict[str, float] = {}
-    for label, g in engines:
-        if g is None:
-            trainer = EigenPro2(
-                GaussianKernel(**kernel_args), device=titan_xp(), **trainer_kw
-            )
-        else:
-            trainer = ShardedEigenPro2(
-                GaussianKernel(**kernel_args),
-                n_shards=g,
-                device=titan_xp(),
-                **trainer_kw,
-            )
+    for g in cfg.shard_counts:
+        label = f"sharded-g{g}"
+        trainer = ShardedEigenPro2(
+            GaussianKernel(**kernel_args),
+            n_shards=g,
+            device=titan_xp(),
+            **trainer_kw,
+        )
         try:
             # One real (tiny) fit performs selection, allocates state and
             # builds the shard group; afterwards _run_epoch is driven
@@ -489,37 +479,27 @@ def run_pipeline_overlap(
                     trainer, xb, yb, blocks, gamma, cfg.rounds, cfg.warmup
                 )
         finally:
-            if getattr(trainer, "_prefetcher", None) is not None:
-                trainer._prefetcher.close()
-                trainer._prefetcher = None
-            if g is not None:
-                trainer.close()
+            trainer.close()
         serial_ms = 1e3 * timings[False] / len(blocks)
         pipe_ms = 1e3 * timings[True] / len(blocks)
         speedups[label] = serial_ms / pipe_ms
-        row = dict(
+        # Cost-model view of the same overlap: per-shard block time
+        # calibrated from the measured serial run, collective charged
+        # serially vs hidden behind the next block's formation.
+        block_s = timings[False] / len(blocks) / g
+        sync = allreduce_time(cfg.interconnect, g, float(cfg.m * cfg.l))
+        sync_pipe = pipelined_sync_time(
+            cfg.interconnect, g, float(cfg.m * cfg.l), block_s
+        )
+        result.add_row(
             engine=label,
             iterations=len(blocks),
             serial_ms_per_iter=round(serial_ms, 3),
             pipelined_ms_per_iter=round(pipe_ms, 3),
             speedup=round(speedups[label], 3),
+            modelled_sync_us=round(1e6 * sync, 1),
+            modelled_sync_pipelined_us=round(1e6 * sync_pipe, 1),
         )
-        if g is not None:
-            # Cost-model view of the same overlap: per-shard block time
-            # calibrated from the measured serial run, collective charged
-            # serially vs hidden behind the next block's formation.
-            block_s = timings[False] / len(blocks) / g
-            sync = allreduce_time(
-                cfg.interconnect, g, float(cfg.m * cfg.l)
-            )
-            sync_pipe = pipelined_sync_time(
-                cfg.interconnect, g, float(cfg.m * cfg.l), block_s
-            )
-            row.update(
-                modelled_sync_us=round(1e6 * sync, 1),
-                modelled_sync_pipelined_us=round(1e6 * sync_pipe, 1),
-            )
-        result.add_row(**row)
 
     result.add_claim(
         PaperClaim(
@@ -546,7 +526,6 @@ def run_pipeline_overlap(
             ),
         )
     )
-    multi = {k: v for k, v in speedups.items() if k != "single"}
     result.add_claim(
         PaperClaim(
             claim_id="pipeline/measured-overlap",
@@ -557,11 +536,11 @@ def run_pipeline_overlap(
                 f"cpu_count={cpu_count})"
             ),
             paper="compute/communication overlap (PAPERS.md, MLSys'19)",
-            measured=", ".join(f"{k}: {v:.2f}x" for k, v in multi.items())
+            measured=", ".join(f"{k}: {v:.2f}x" for k, v in speedups.items())
             or "no sharded engines configured",
             holds=(
-                all(v >= 1.15 for v in multi.values())
-                if multi and cpu_count >= 2
+                all(v >= 1.15 for v in speedups.values())
+                if speedups and cpu_count >= 2
                 else None
             ),
         )
@@ -579,13 +558,11 @@ def run_pipeline_overlap(
                 f"{r['engine']}: {r['modelled_sync_pipelined_us']}us vs "
                 f"{r['modelled_sync_us']}us"
                 for r in result.rows
-                if "modelled_sync_us" in r
             )
             or "no sharded engines configured",
             holds=all(
                 r["modelled_sync_pipelined_us"] < r["modelled_sync_us"]
                 for r in result.rows
-                if "modelled_sync_us" in r
             ),
         )
     )

@@ -146,7 +146,7 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
         sched_metrics = MetricsRegistry(run_id=new_run_id())
         sched = ModelServer(
             group=group, metrics=sched_metrics,
-            options=ServeOptions(batch_wait_s=2e-3),
+            options=ServeOptions(batch_wait=2e-3),
         )
         doomed = [
             sched.submit_request(

@@ -115,10 +115,10 @@ class BlockWorkspace:
     ) -> Any:
         """A ``(n_rows, n_cols)`` scratch block, reusing pooled memory.
 
-        ``slot`` selects one of the rotating buffers for the key:
-        double-buffered (pipelined) callers alternate 0/1 so the block
-        being consumed is never the block being formed; everyone else
-        leaves the default and keeps a single buffer per key.
+        ``slot`` selects one of the rotating buffers for the key: the
+        pipelined shard workers alternate 0/1 so the block being
+        consumed is never the block being formed; everyone else leaves
+        the default and keeps a single buffer per key.
         """
         dtype = np.dtype(dtype)
         cache = self._cache()

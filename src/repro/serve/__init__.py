@@ -66,17 +66,10 @@ from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.serve.client import HttpClient, LocalClient, ServeClient
 from repro.serve.http import ServeHTTPServer
-from repro.serve.server import (
-    ADAPTIVE,
-    SNAPSHOT_EXPORTERS,
-    ModelServer,
-    ServeOptions,
-    register_exporter,
-)
+from repro.serve.server import ADAPTIVE, ModelServer, ServeOptions
 
 __all__ = [
     "ADAPTIVE",
-    "SNAPSHOT_EXPORTERS",
     "AdaptiveWindow",
     "HttpClient",
     "LocalClient",
@@ -87,5 +80,4 @@ __all__ = [
     "ServeHTTPServer",
     "ServeOptions",
     "WindowOptions",
-    "register_exporter",
 ]

@@ -1,6 +1,6 @@
 """Adaptive micro-batch window: size the wait from the arrival rate.
 
-A fixed ``batch_wait_s`` is a hand-tuned constant: too short and sparse
+A fixed ``batch_wait`` is a hand-tuned constant: too short and sparse
 bursts dispatch half-empty ticks, too long and an idle queue pays the
 whole window as latency.  The MAPE-style alternative (monitor → analyze
 → plan → execute, per the self-adaptive-systems line in PAPERS.md) is to

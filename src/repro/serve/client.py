@@ -44,6 +44,7 @@ from repro.exceptions import (
 from repro.serve.api import (
     PredictRequest,
     PredictResponse,
+    numeric_rows,
     pack_rows,
     unpack_rows,
 )
@@ -182,7 +183,7 @@ class HttpClient:
         if not isinstance(request, PredictRequest):
             request = PredictRequest(rows=request)
         body: dict[str, Any] = {
-            "rows": pack_rows(request.rows),
+            "rows": pack_rows(numeric_rows(request.rows)),
             "priority": request.priority,
             "request_id": request.request_id,
         }

@@ -46,6 +46,7 @@ in the ``serve/window_s`` histogram.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -53,7 +54,8 @@ from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from repro.observe.tracer import (
     trace_scope,
 )
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
-from repro.serve.api import PredictRequest, PredictResponse
+from repro.serve.api import PredictRequest, PredictResponse, numeric_rows
 from repro.shard.group import ShardGroup
 
 __all__ = ["ADAPTIVE", "ModelServer", "ServeOptions"]
@@ -147,10 +149,6 @@ class ServeOptions:
         keep the workers busy while the window runs, so with
         ``pipeline_depth > 1`` it costs dispatch latency only, not
         pipeline occupancy.
-    batch_wait_s:
-        Back-compat alias of ``batch_wait`` (the pre-redesign name).
-        Setting both to different values is an error; after
-        construction the two fields always agree.
     adaptive:
         :class:`~repro.serve.adaptive.WindowOptions` for the adaptive
         window (floor/ceiling band, EWMA dynamics).  Only meaningful —
@@ -158,7 +156,7 @@ class ServeOptions:
         there means defaults.
     pipeline_depth:
         Ticks in flight at once.  The default ``2`` double-buffers the
-        serving loop exactly like the training engine: the workers
+        serving loop like the sharded training engine: the workers
         compute tick ``t`` while the dispatcher scatters ``t - 1``'s
         rows, callers wake, and the queue refills — so worker compute,
         host scatter and client turnaround overlap instead of
@@ -192,7 +190,7 @@ class ServeOptions:
     """
 
     max_batch_requests: int = 64
-    batch_wait: float | str | None = None
+    batch_wait: float | str = 0.0
     pipeline_depth: int = 2
     max_batch_rows: int = 4096
     max_queue: int = 4096
@@ -201,7 +199,6 @@ class ServeOptions:
     retry_backoff_s: float = 0.05
     drain_timeout_s: float = 30.0
     adaptive: WindowOptions | None = None
-    batch_wait_s: float | str | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -225,15 +222,7 @@ class ServeOptions:
             raise ConfigurationError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s!r}"
             )
-        # Reconcile the canonical window knob with its legacy alias.
         wait = self.batch_wait
-        if wait is None:
-            wait = self.batch_wait_s if self.batch_wait_s is not None else 0.0
-        elif self.batch_wait_s is not None and self.batch_wait_s != wait:
-            raise ConfigurationError(
-                f"batch_wait={self.batch_wait!r} and its alias "
-                f"batch_wait_s={self.batch_wait_s!r} disagree; set one"
-            )
         if isinstance(wait, str):
             if wait != ADAPTIVE:
                 raise ConfigurationError(
@@ -259,7 +248,6 @@ class ServeOptions:
                 f"{type(self.adaptive).__name__}"
             )
         object.__setattr__(self, "batch_wait", wait)
-        object.__setattr__(self, "batch_wait_s", wait)
 
     @property
     def adaptive_window(self) -> bool:
@@ -301,30 +289,6 @@ class _Inflight:
     rows: int
     dispatch_s: float
     pending: Any  # PendingReduce, or None if submission failed
-
-
-#: Registry of snapshot exporters: ``name -> fn(snapshot, path)``.
-#: The same extension discipline as the transport registry — filing a
-#: writer here makes it reachable from :meth:`ModelServer.export`.
-SNAPSHOT_EXPORTERS: dict[str, Callable[[dict, Any], None]] = {}
-
-
-def register_exporter(name: str):
-    """Decorator filing a snapshot writer under ``name``."""
-
-    def _register(fn: Callable[[dict, Any], None]):
-        SNAPSHOT_EXPORTERS[name] = fn
-        return fn
-
-    return _register
-
-
-@register_exporter("json")
-def _export_json(snapshot: dict, path: Any) -> None:
-    import json
-    import pathlib
-
-    pathlib.Path(path).write_text(json.dumps(snapshot, indent=2) + "\n")
 
 
 class ModelServer:
@@ -469,9 +433,10 @@ class ModelServer:
         :func:`~repro.shard.sharded_predict` call on the group.  For a
         future that resolves to a full
         :class:`~repro.serve.PredictResponse`, use
-        :meth:`submit_request`.  Rows with a NaN or infinity raise
-        :class:`~repro.exceptions.ConfigurationError`, the same input
-        contract ``fit()`` applies.
+        :meth:`submit_request`.  Rows that are not a bool, integer or
+        float array, or that hold a NaN or infinity, raise
+        :class:`~repro.exceptions.ConfigurationError` — the finiteness
+        check is the one ``fit()`` applies.
         """
         return self._enqueue(self._as_request(x), wants_response=False)
 
@@ -493,7 +458,7 @@ class ModelServer:
         return x if isinstance(x, PredictRequest) else PredictRequest(rows=x)
 
     def _enqueue(self, request: PredictRequest, wants_response: bool) -> Future:
-        x_host = np.asarray(to_numpy(request.rows))
+        x_host = numeric_rows(request.rows)
         squeeze = x_host.ndim == 1
         if squeeze:
             x_host = x_host[None, :]
@@ -755,7 +720,7 @@ class ModelServer:
         """Coalesce ``batch`` and submit its fused tick — non-blocking,
         so the workers compute this tick while the dispatcher scatters
         the previous one and the queue refills behind it (the serving
-        analogue of the trainer's double-buffered pipeline)."""
+        analogue of the sharded trainer's double-buffered pipeline)."""
         dispatch_s = time.perf_counter()
         bounds: list[tuple[int, int]] = []
         lo = 0
@@ -969,16 +934,9 @@ class ModelServer:
         p50/p95/p99; see :class:`~repro.observe.MetricsRegistry`)."""
         return self.metrics.snapshot()
 
-    def export(self, path: Any, fmt: str = "json") -> None:
-        """Write :meth:`stats` through a registered snapshot exporter."""
-        exporter = SNAPSHOT_EXPORTERS.get(fmt)
-        if exporter is None:
-            raise ConfigurationError(
-                f"unknown exporter {fmt!r}: register one of "
-                f"{sorted(SNAPSHOT_EXPORTERS)} or file a new writer with "
-                "repro.serve.register_exporter"
-            )
-        exporter(self.stats(), path)
+    def export(self, path: Any) -> None:
+        """Write :meth:`stats` to ``path`` as indented JSON."""
+        Path(path).write_text(json.dumps(self.stats(), indent=2) + "\n")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"

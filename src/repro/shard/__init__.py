@@ -43,8 +43,10 @@ real array backends:
   the single-backend trainer and adapted, by default, to the
   :func:`repro.device.cluster.multi_gpu` aggregate device (with a
   per-transport link model via
-  :func:`repro.device.cluster.transport_interconnect`).  By default it
-  runs *pipelined*: while step ``t``'s partial predictions are
+  :func:`repro.device.cluster.transport_interconnect`).  It is the
+  repo's only pipelined engine (the single-backend trainer runs one
+  serial loop), and by default (``pipeline=True``) it overlaps: while
+  step ``t``'s partial predictions are
   all-reduced and its update/correction applied on the caller thread,
   every shard worker is already forming step ``t+1``'s kernel block into
   the other half of its double-buffered workspace (two in-flight

@@ -253,13 +253,15 @@ class ShardedEigenPro2(EigenPro2):
         on every group build — initial and rebuilt alike (e.g.
         ``{"timeout_s": 20.0}`` for torchdist, ``{"start_method":
         "spawn"}`` for the process transport).
+    pipeline:
+        When True (the default), shard workers prefetch the next step's
+        kernel blocks while the caller applies the current update (see
+        the module docstring); ``False`` runs the strictly serial
+        per-collective barrier.  Both give identical weights and op
+        counts.
     **eigenpro_kwargs:
         Everything :class:`~repro.core.eigenpro2.EigenPro2` accepts
         (``s``, ``q``, ``batch_size``, ``step_size``, ``seed``, ...).
-        ``pipeline`` defaults to *True* here: shard workers prefetch the
-        next step's kernel blocks while the caller applies the current
-        update (see the module docstring); pass ``pipeline=False`` for
-        the strictly serial per-collective barrier.
 
     Attributes
     ----------
@@ -292,6 +294,7 @@ class ShardedEigenPro2(EigenPro2):
         min_shards: int = 1,
         checkpoint_dir: str | Path | None = None,
         transport_options: dict[str, Any] | None = None,
+        pipeline: bool = True,
         **eigenpro_kwargs: Any,
     ) -> None:
         if checkpoint_every < 0:
@@ -333,10 +336,8 @@ class ShardedEigenPro2(EigenPro2):
                     transport
                 ).trainer_interconnect(shard_backends)
             device = multi_gpu(titan_xp(), n_shards, interconnect=interconnect)
-        # The sharded engine pipelines by default: the whole point of the
-        # shard workers is to be busy during the collective.
-        eigenpro_kwargs.setdefault("pipeline", True)
         super().__init__(kernel, device=device, **eigenpro_kwargs)
+        self.pipeline = bool(pipeline)
         self.n_shards = n_shards
         self.shard_backends = shard_backends
         self.transport = transport
@@ -501,25 +502,6 @@ class ShardedEigenPro2(EigenPro2):
         f, phi_parts = group.map_allreduce(_forward_task, xb, xb_sq_norms)
         self._apply_shard_step(group, f, phi_parts, y, idx, gamma)
 
-    def _run_epoch_pipelined(
-        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
-    ) -> None:
-        """Software pipeline over the epoch's batches (module docstring).
-
-        Per step ``t``: await the prefetched blocks, queue the contraction
-        against the current weights, queue step ``t+1``'s prefetch right
-        behind it (other workspace slot), then — while the workers run —
-        await the partial predictions and apply the update/correction on
-        this thread.  FIFO worker queues order contraction before the
-        prefetch that would need the next slot, and the update (+ mirror)
-        completes before step ``t+1``'s contraction is queued, so every
-        contraction sees exactly the weights the serial engine would.
-        """
-        if self.shard_group_ is None:
-            super()._run_epoch_pipelined(x, y, blocks, gamma)
-            return
-        self._run_span_pipelined(x, y, blocks, gamma, start=0)
-
     # ---------------------------------------------------- epoch w/ recovery
     def _run_epoch(
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
@@ -531,11 +513,12 @@ class ShardedEigenPro2(EigenPro2):
         :class:`~repro.exceptions.ShardError` raised by any step triggers
         :meth:`_recover_or_reraise`: probe liveness, rebuild the group
         over the survivors, restore the last checkpoint and resume at
-        its cursor.  Failure-free runs execute exactly the schedule of
-        the non-recovering engine — checkpoints only *read* state.
+        its cursor.  Without checkpoints there is nothing to restore, so
+        the error propagates.  Failure-free runs execute exactly the
+        schedule of the non-recovering engine — checkpoints only *read*
+        state.
         """
-        group = self.shard_group_
-        if group is None or self.checkpoint_every <= 0 or not blocks:
+        if self.shard_group_ is None or not blocks:
             super()._run_epoch(x, y, blocks, gamma)
             return
         cursor = 0
@@ -551,8 +534,10 @@ class ShardedEigenPro2(EigenPro2):
         start: int,
     ) -> None:
         """Run ``blocks[start:]`` with periodic checkpoints, starting
-        with the span-anchor checkpoint at ``start`` itself."""
-        self._take_checkpoint(start)
+        with the span-anchor checkpoint at ``start`` itself (when
+        checkpointing is enabled)."""
+        if self.checkpoint_every > 0:
+            self._take_checkpoint(start)
         if self.pipeline and len(blocks) - start > 1:
             self._run_span_pipelined(x, y, blocks, gamma, start=start)
             return
@@ -566,6 +551,17 @@ class ShardedEigenPro2(EigenPro2):
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float,
         start: int,
     ) -> None:
+        """Software pipeline over ``blocks[start:]`` (module docstring).
+
+        Per step ``t``: await the prefetched blocks, queue the contraction
+        against the current weights, queue step ``t+1``'s prefetch right
+        behind it (other workspace slot), then — while the workers run —
+        await the partial predictions and apply the update/correction on
+        this thread.  FIFO worker queues order contraction before the
+        prefetch that would need the next slot, and the update (+ mirror)
+        completes before step ``t+1``'s contraction is queued, so every
+        contraction sees exactly the weights the serial engine would.
+        """
         group = self.shard_group_
 
         def prefetch(idx: np.ndarray, slot: int) -> PendingMap:

@@ -163,8 +163,8 @@ class TestMeterThreading:
     def test_relay_under_concurrent_meter_scopes(self):
         """relay_op_counts records onto *this* thread's meters only:
         concurrent relays from many threads, each holding nested
-        scopes, never cross-talk (the PendingMap / BlockPrefetcher
-        relay path run g-wide)."""
+        scopes, never cross-talk (the PendingMap relay path run
+        g-wide)."""
         n_threads = 6
         results = {}
         errors = []

@@ -1,14 +1,12 @@
-"""Parity suite for the pipelined (double-buffered) iteration engine.
+"""Parity suite for the pipelined (double-buffered) sharded engine.
 
 The pipeline earns its keep only if it is *invisible* to the numbers:
-with ``pipeline=True`` the single-device :class:`~repro.core.eigenpro2.
-EigenPro2` and the sharded :class:`~repro.shard.ShardedEigenPro2` must
-produce weights, histories, selections and aggregate op counts identical
-to their serial runs — nothing stale is ever read, because the
-prefetched block depends only on data the update never writes.  In
-practice the agreement is *bitwise* (both schedules run the same
-``_form_block`` / ``_consume_block`` code); the assertions below demand
-exact equality for op counts/histories and ~1e-14 for weights.
+with ``pipeline=True`` the sharded :class:`~repro.shard.ShardedEigenPro2`
+must produce weights, histories and aggregate op counts identical to its
+serial run — nothing stale is ever read, because the prefetched block
+depends only on data the update never writes.  The assertions below
+demand exact equality for op counts/histories and ~1e-14 for weights,
+with and without periodic checkpoints.
 
 Also covered: the :class:`~repro.kernels.ops.BlockWorkspace` double-buffer
 contract (two rotating buffers per key, never more) and the
@@ -21,7 +19,6 @@ convention as ``tests/test_shard_parity.py``).
 
 from __future__ import annotations
 
-import importlib.util
 import os
 
 import numpy as np
@@ -30,11 +27,10 @@ import pytest
 from repro.backend import NumpyBackend
 from repro.config import debug_workspace
 from repro.core.eigenpro2 import EigenPro2
-from repro.core.trainer import BlockPrefetcher
 from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
-from repro.kernels import GaussianKernel, LaplacianKernel
+from repro.kernels import GaussianKernel
 from repro.kernels.ops import BlockWorkspace, block_workspace
 from repro.shard import ShardedEigenPro2
 
@@ -51,136 +47,24 @@ def _fit(trainer, ds, epochs=2):
     return trainer
 
 
-class TestPipelinedEigenPro2:
-    def _pair(self, ds, epochs=2, **extra):
-        kernel = lambda: GaussianKernel(bandwidth=2.5)  # noqa: E731
-        with meter_scope() as serial_meter:
-            serial = _fit(
-                EigenPro2(kernel(), device=titan_xp(), **KW, **extra),
-                ds,
-                epochs,
-            )
-        with meter_scope() as pipe_meter:
-            pipelined = _fit(
-                EigenPro2(
-                    kernel(), device=titan_xp(), pipeline=True, **KW, **extra
-                ),
-                ds,
-                epochs,
-            )
-        return serial, pipelined, serial_meter, pipe_meter
-
-    def test_weights_match(self, small_dataset):
-        serial, pipelined, _, _ = self._pair(small_dataset)
-        scale = max(float(np.abs(np.asarray(serial._alpha)).max()), 1.0)
-        np.testing.assert_allclose(
-            np.asarray(pipelined._alpha),
-            np.asarray(serial._alpha),
-            atol=1e-14 * scale,
-            rtol=0,
-        )
-
-    def test_histories_identical(self, small_dataset):
-        serial, pipelined, _, _ = self._pair(small_dataset)
-        assert pipelined.history_.series("train_mse") == serial.history_.series(
-            "train_mse"
-        )
-        assert pipelined.history_.series(
-            "device_time"
-        ) == serial.history_.series("device_time")
-        assert pipelined.history_.series(
-            "iterations"
-        ) == serial.history_.series("iterations")
-
-    def test_op_counts_identical(self, small_dataset):
-        _, _, serial_meter, pipe_meter = self._pair(small_dataset)
-        assert serial_meter.as_dict() == pipe_meter.as_dict()
-
-    def test_selection_identical(self, small_dataset):
-        serial, pipelined, _, _ = self._pair(small_dataset)
-        assert pipelined.params_ == serial.params_
-        assert pipelined.step_size_ == serial.step_size_
-        assert pipelined.batch_size_ == serial.batch_size_
-
-    def test_max_iterations_respected(self, small_dataset):
-        ds = small_dataset
-        a = EigenPro2(GaussianKernel(bandwidth=2.5), device=titan_xp(), **KW)
-        a.fit(ds.x_train, ds.y_train, epochs=5, max_iterations=7)
-        b = EigenPro2(
-            GaussianKernel(bandwidth=2.5),
-            device=titan_xp(),
-            pipeline=True,
-            **KW,
-        )
-        b.fit(ds.x_train, ds.y_train, epochs=5, max_iterations=7)
-        assert a.history_.final.iterations == 7
-        assert b.history_.final.iterations == 7
-        np.testing.assert_array_equal(
-            np.asarray(b._alpha), np.asarray(a._alpha)
-        )
-
-    def test_laplacian_kernel(self, small_dataset):
-        """A second profile (in-place sqrt) through the pipelined path."""
-        ds = small_dataset
-        a = _fit(
-            EigenPro2(LaplacianKernel(bandwidth=4.0), device=titan_xp(), **KW),
-            ds,
-        )
-        b = _fit(
-            EigenPro2(
-                LaplacianKernel(bandwidth=4.0),
-                device=titan_xp(),
-                pipeline=True,
-                **KW,
-            ),
-            ds,
-        )
-        np.testing.assert_array_equal(
-            np.asarray(b._alpha), np.asarray(a._alpha)
-        )
-
-    @pytest.mark.skipif(
-        importlib.util.find_spec("torch") is None,
-        reason="torch not installed — Torch backend unavailable",
-    )
-    def test_matches_under_torch(self, small_dataset):
-        from repro.backend import use_backend
-
-        ds = small_dataset
-        with use_backend("torch"):
-            serial = _fit(
-                EigenPro2(
-                    GaussianKernel(bandwidth=2.5), device=titan_xp(), **KW
-                ),
-                ds,
-            )
-            pipelined = _fit(
-                EigenPro2(
-                    GaussianKernel(bandwidth=2.5),
-                    device=titan_xp(),
-                    pipeline=True,
-                    **KW,
-                ),
-                ds,
-            )
-        scale = max(float(np.abs(np.asarray(serial._alpha)).max()), 1.0)
-        np.testing.assert_allclose(
-            np.asarray(pipelined._alpha),
-            np.asarray(serial._alpha),
-            atol=1e-14 * scale,
-            rtol=0,
-        )
-
-
 class TestPipelinedShardedEigenPro2:
-    @shard_counts
-    def test_weights_and_history_match_serial(self, small_dataset, g):
+    # The default cadence (25) keeps the bare shard-count id; ``0`` runs
+    # the epoch loop with no anchor or periodic checkpoints at all.
+    @pytest.mark.parametrize(
+        "g, checkpoint_every",
+        [pytest.param(g, 25, id=str(g)) for g in G_VALUES]
+        + [pytest.param(g, 0, id=f"{g}-no-checkpoint") for g in G_VALUES],
+    )
+    def test_weights_and_history_match_serial(
+        self, small_dataset, g, checkpoint_every
+    ):
         ds = small_dataset
         with meter_scope() as serial_meter:
             serial = ShardedEigenPro2(
                 GaussianKernel(bandwidth=2.5),
                 n_shards=g,
                 device=titan_xp(),
+                checkpoint_every=checkpoint_every,
                 pipeline=False,
                 **KW,
             )
@@ -191,6 +75,7 @@ class TestPipelinedShardedEigenPro2:
                 GaussianKernel(bandwidth=2.5),
                 n_shards=g,
                 device=titan_xp(),
+                checkpoint_every=checkpoint_every,
                 pipeline=True,
                 **KW,
             )
@@ -209,6 +94,9 @@ class TestPipelinedShardedEigenPro2:
         # Aggregate op counts — including the separately-metered
         # "allreduce" communication — are identical.
         assert serial_meter.as_dict() == pipe_meter.as_dict()
+        if checkpoint_every == 0:
+            assert serial.last_checkpoint_ is None
+            assert pipelined.last_checkpoint_ is None
 
     @shard_counts
     def test_pipelined_matches_unsharded_serial(self, small_dataset, g):
@@ -299,38 +187,6 @@ class TestWorkspaceDoubleBuffer:
             ws.get(bk, 8, 16, np.float64)
         assert ws.peak_scalars == 8 * 16
 
-    def test_pipelined_trainer_stays_double_buffered(self, small_dataset):
-        """End to end: the core pipelined trainer's prefetch worker holds
-        at most two batch blocks."""
-        ds = small_dataset
-        trainer = EigenPro2(
-            GaussianKernel(bandwidth=2.5),
-            device=titan_xp(),
-            pipeline=True,
-            **KW,
-        )
-        # Observe the worker's peak before fit() drains it: wrap close.
-        peaks = []
-        orig_close = BlockPrefetcher.close
-
-        def probing_close(self):
-            if self._pool is not None:
-                peaks.append(
-                    self._pool.submit(
-                        lambda: block_workspace().peak_scalars
-                    ).result()
-                )
-            orig_close(self)
-
-        BlockPrefetcher.close = probing_close
-        try:
-            trainer.fit(ds.x_train, ds.y_train, epochs=1)
-        finally:
-            BlockPrefetcher.close = orig_close
-        n = ds.x_train.shape[0]
-        m = trainer.batch_size_
-        assert peaks and 0 < peaks[0] <= 2 * m * n
-
 
 class TestWorkspaceDebugFlag:
     def test_discarded_scratch_raises_under_debug(self):
@@ -358,8 +214,8 @@ class TestWorkspaceDebugFlag:
 
     def test_streaming_paths_clean_under_debug(self, small_dataset):
         """The hot paths request correctly-dtyped scratch up front, so the
-        debug assertions never fire on them — serial, pipelined and
-        sharded alike, including a dtype-pinned kernel."""
+        debug assertions never fire on them — the serial trainer and the
+        pipelined sharded one alike, including a dtype-pinned kernel."""
         from repro.kernels.ops import kernel_matrix, kernel_matvec
 
         ds = small_dataset
@@ -374,10 +230,7 @@ class TestWorkspaceDebugFlag:
             pinned = GaussianKernel(bandwidth=2.5, dtype=np.float32)
             kernel_matrix(pinned, ds.x_test[:16], ds.x_train[:32])
             trainer = EigenPro2(
-                GaussianKernel(bandwidth=2.5),
-                device=titan_xp(),
-                pipeline=True,
-                **KW,
+                GaussianKernel(bandwidth=2.5), device=titan_xp(), **KW
             )
             trainer.fit(ds.x_train, ds.y_train, epochs=1)
             sharded = ShardedEigenPro2(

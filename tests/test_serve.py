@@ -7,7 +7,7 @@ dispatcher happened to coalesce it — carries exactly the bits a solo
 produce.  The suite pins that across transports and shard counts, then
 covers the service-hardening surface: drain-on-close semantics,
 backpressure, bounded retries, option validation, per-request span
-relay, run-ID-stamped latency histograms, and the exporter registry.
+relay, run-ID-stamped latency histograms, and the JSON snapshot export.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from repro.core.model import KernelModel
 from repro.exceptions import ConfigurationError, ShardError
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, Tracer, trace_scope
-from repro.serve import (
-    SNAPSHOT_EXPORTERS,
-    ModelServer,
-    ServeOptions,
-    register_exporter,
-)
+from repro.serve import ModelServer, ServeOptions
 from repro.shard import ShardGroup, process_transport_available, sharded_predict
 
 N, D, L = 193, 5, 3
@@ -84,7 +79,7 @@ def test_batched_bitwise_vs_solo_loop(problem, transport, g):
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                max_batch_requests=len(requests), batch_wait_s=0.05
+                max_batch_requests=len(requests), batch_wait=0.05
             ),
         )
         try:
@@ -135,7 +130,7 @@ def test_close_without_drain_fails_queued(problem):
             server = ModelServer(
                 group=group,
                 options=ServeOptions(
-                    max_batch_requests=1, pipeline_depth=1, batch_wait_s=0.0
+                    max_batch_requests=1, pipeline_depth=1, batch_wait=0.0
                 ),
             )
             inflight = server.submit(np.zeros((1, D)))
@@ -187,7 +182,7 @@ def test_mixed_zero_row_in_batch(problem):
         expected = [np.asarray(sharded_predict(group, x)) for x in xs]
         server = ModelServer(
             group=group,
-            options=ServeOptions(max_batch_requests=3, batch_wait_s=0.05),
+            options=ServeOptions(max_batch_requests=3, batch_wait=0.05),
         )
         try:
             futures = [server.submit(x) for x in xs]
@@ -212,7 +207,7 @@ def test_mixed_zero_row_in_batch(problem):
         {"pipeline_depth": 0},
         {"max_retries": -1},
         {"retry_backoff_s": -0.1},
-        {"batch_wait_s": -1e-3},
+        {"batch_wait": -1e-3},
         {"drain_timeout_s": 0.0},
     ],
 )
@@ -429,7 +424,7 @@ def test_span_relay_is_per_caller(problem):
     with _build_group(problem, "thread", 2) as group:
         server = ModelServer(
             group=group,
-            options=ServeOptions(max_batch_requests=4, batch_wait_s=0.05),
+            options=ServeOptions(max_batch_requests=4, batch_wait=0.05),
         )
         tracers = [Tracer(), Tracer()]
         barrier = threading.Barrier(3)
@@ -460,30 +455,17 @@ def test_span_relay_is_per_caller(problem):
             assert counts.get(name, 0) == 1, (name, counts)
 
 
-def test_exporter_registry(problem, tmp_path):
+def test_export_writes_json_snapshot(problem, tmp_path):
     _, _, _, x = problem
     with _build_group(problem, "thread", 1) as group:
         with ModelServer(group=group) as server:
             server.predict(x[:1], timeout=60)
             out = tmp_path / "snapshot.json"
             server.export(out)
-            with pytest.raises(ConfigurationError, match="unknown exporter"):
-                server.export(tmp_path / "x.bin", fmt="no-such-format")
-            captured = {}
-
-            @register_exporter("test-capture")
-            def _capture(snapshot, path):
-                captured["snapshot"] = snapshot
-
-            try:
-                server.export("ignored", fmt="test-capture")
-            finally:
-                SNAPSHOT_EXPORTERS.pop("test-capture", None)
     import json
 
     payload = json.loads(out.read_text())
     assert payload["counters"]["serve/requests"] == 1
-    assert captured["snapshot"]["counters"]["serve/requests"] == 1
 
 
 # --------------------------------------------------------------------------

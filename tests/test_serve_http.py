@@ -295,7 +295,7 @@ def test_expired_deadline_maps_to_504_shed(served):
     HttpClient raises the same DeadlineExceeded the engine raises."""
     group, _, _ = served
     with ModelServer(
-        group=group, options=ServeOptions(batch_wait_s=5e-3)
+        group=group, options=ServeOptions(batch_wait=5e-3)
     ) as slow:
         with ServeHTTPServer(slow) as adapter:
             status, body = _post(
@@ -333,10 +333,22 @@ def test_closed_engine_maps_to_503(served):
         adapter.close()
 
 
+#: Rows of the right width that are not a bool/integer/float array.
+_NON_NUMERIC_ROWS = [
+    [["a", "b", "c", "d"]],
+    [[1, 2, 3, None]],
+    [[0.0] * D, [0.0] * (D - 1)],  # ragged
+]
+
+
 def test_http_client_raises_configuration_error_on_400(served):
-    _, _, http_srv = served
+    _, server, http_srv = served
     with pytest.raises(ConfigurationError):
         HttpClient(http_srv.url).predict(np.zeros((1, D + 2)))
+    for client in (HttpClient(http_srv.url), LocalClient(server)):
+        for rows in _NON_NUMERIC_ROWS:
+            with pytest.raises(ConfigurationError):
+                client.predict(rows, timeout=60)
 
 
 # --------------------------------------------------------------------------

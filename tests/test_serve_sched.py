@@ -133,7 +133,7 @@ class TestDeadlineShedding:
         metrics = MetricsRegistry()
         server = ModelServer(
             group=group, metrics=metrics,
-            options=ServeOptions(batch_wait_s=5e-3),
+            options=ServeOptions(batch_wait=5e-3),
         )
         try:
             doomed = [
@@ -206,7 +206,7 @@ class TestPriorityScheduling:
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                batch_wait_s=0.0,
+                batch_wait=0.0,
                 max_batch_requests=max_batch_requests,
                 pipeline_depth=1,
             ),
@@ -261,7 +261,7 @@ class TestPriorityScheduling:
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                batch_wait_s=0.15, max_batch_requests=1, pipeline_depth=1
+                batch_wait=0.15, max_batch_requests=1, pipeline_depth=1
             ),
         )
         order: list[str] = []
@@ -360,15 +360,13 @@ class TestAdaptiveWindow:
     def test_serve_options_adaptive_spelling(self):
         opts = ServeOptions(batch_wait=ADAPTIVE)
         assert opts.adaptive_window
-        assert ServeOptions(batch_wait_s="adaptive").adaptive_window
-        assert not ServeOptions(batch_wait_s=1e-3).adaptive_window
+        assert ServeOptions(batch_wait="adaptive").adaptive_window
+        assert not ServeOptions(batch_wait=1e-3).adaptive_window
         with pytest.raises(ConfigurationError):
             ServeOptions(batch_wait="sometimes")
         with pytest.raises(ConfigurationError):
             # WindowOptions without opting into the adaptive window.
-            ServeOptions(batch_wait_s=1e-3, adaptive=WindowOptions())
-        with pytest.raises(ConfigurationError):
-            ServeOptions(batch_wait=1e-3, batch_wait_s=2e-3)
+            ServeOptions(batch_wait=1e-3, adaptive=WindowOptions())
 
     @pytest.mark.parametrize(
         "load", ["bursty", "steady"], ids=["bursty", "steady"]
@@ -415,7 +413,7 @@ class TestTimeoutAbandon:
         metrics = MetricsRegistry()
         server = ModelServer(
             group=group, metrics=metrics,
-            options=ServeOptions(batch_wait_s=0.2, pipeline_depth=1),
+            options=ServeOptions(batch_wait=0.2, pipeline_depth=1),
         )
         try:
             with pytest.raises((FutureTimeout, TimeoutError)):

@@ -7,8 +7,7 @@ committed history (``BENCH_trajectory.json``, schema
 inputs identically)::
 
     python benchmarks/check_trajectory.py --history BENCH_trajectory.json \
-        /tmp/shard-smoke-all.json benchmarks/results/pipeline.json \
-        /tmp/failure-injection-all.json
+        /tmp/shard-smoke-all.json /tmp/failure-injection-all.json
 
 For every ``(experiment, transport)`` series in the current payloads,
 the trailing median of the last ``--window`` history points (excluding

@@ -2,22 +2,21 @@
 
 The CI trajectory job runs the smoke benchmarks that emit machine-
 readable results (``bench_shard.py --transport all --smoke``, the
-pipeline-overlap smoke of ``bench_pipeline.py``, the fused hot-path
-smoke of ``bench_fused.py``, the serving-load and deadline-load smokes
-of ``bench_serve.py`` and the failure-injection sweep) and folds
+fused hot-path smoke of ``bench_fused.py``, the serving-load and
+deadline-load smokes of ``bench_serve.py`` and the failure-injection
+sweep) and folds
 their payloads — together with the
 committed history ``BENCH_trajectory.json`` — into one *history* of
 headline data points::
 
     python benchmarks/merge_trajectory.py --out bench-trajectory.json \
         BENCH_trajectory.json /tmp/shard-smoke-all.json \
-        benchmarks/results/pipeline.json /tmp/failure-injection-all.json
+        /tmp/failure-injection-all.json
 
 Schema (``repro-bench-trajectory/v2``): a flat ``entries`` list, one
 entry per ``(commit, experiment, transport)`` carrying that
 configuration's headline metric (per-iteration ms for shard-validation,
-pipelined ms/iter per engine for pipeline-overlap, recovery ms for
-failure-injection).  Entries are deduplicated by that key — the latest
+recovery ms for failure-injection, ...).  Entries are deduplicated by that key — the latest
 ``generated_at`` wins, so re-running CI on the same commit replaces
 rather than appends — and sorted deterministically, so the committed
 file diffs cleanly commit over commit.  ``check_trajectory.py`` gates
@@ -83,15 +82,6 @@ def _benchmark_entries(payload: dict) -> Iterator[dict[str, Any]]:
                 "metric": "measured_ms",
                 "value": row.get("measured_ms"),
                 "context": {"shards": row.get("shards")},
-            }
-    elif name == "pipeline-overlap":
-        for row in payload.get("rows") or []:
-            yield {
-                "experiment": "pipeline-overlap",
-                "transport": row.get("engine", "single"),
-                "metric": "pipelined_ms_per_iter",
-                "value": row.get("pipelined_ms_per_iter"),
-                "context": {"speedup": row.get("speedup")},
             }
     elif name == "fused-hot-path":
         # One series per backend: the fused gaussian training matvec is

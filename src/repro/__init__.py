@@ -119,8 +119,7 @@ trainer, validation harness, bench CLI and conformance suite all see
 it).  ``transport="thread"`` (default) drives in-process worker threads
 whose "network" is a host memcpy; ``transport="process"`` runs one
 worker process per shard over ``multiprocessing.shared_memory``
-center/weight blocks, paying a real IPC round-trip per collective step
-— the cost the sharded engine's block prefetch overlaps;
+center/weight blocks, paying one real IPC round-trip per training step;
 ``transport="torchdist"`` makes each worker a rank of a
 ``torch.distributed`` process group so the per-step all-reduce is a
 *real* collective — gloo over CPU tensors by default (runs anywhere

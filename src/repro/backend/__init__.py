@@ -80,6 +80,7 @@ __all__ = [
     "backend_of",
     "get_backend",
     "match_dtype",
+    "numeric_rows",
     "resolve_backend",
     "set_backend",
     "to_numpy",
@@ -202,6 +203,33 @@ def backend_of(x: Any) -> ArrayBackend:
 def to_numpy(x: Any) -> np.ndarray:
     """Convert any backend's array (or array-like) to a NumPy array."""
     return backend_of(x).to_numpy(x)
+
+
+def numeric_rows(rows: Any) -> Any:
+    """``rows`` as an array of bool, integer or float elements — the one
+    element-type contract that ``fit()`` and every serving entry point
+    apply before their shape checks.
+
+    Array-likes become host NumPy arrays; an array native to another
+    backend (a torch tensor) is checked in place and returned as is,
+    never copied to the host.  :class:`ConfigurationError` when the
+    rows cannot be made into such an array (strings, ``None`` entries,
+    ragged nesting, complex values).
+    """
+    bk = backend_of(rows)
+    if bk is _NUMPY:
+        try:
+            rows = np.asarray(rows)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"rows are not a numeric array: {exc}"
+            ) from exc
+    dtype = bk.dtype_of(rows)
+    if dtype.kind not in "biuf":
+        raise ConfigurationError(
+            f"rows must be bool, integer or float, got dtype {dtype}"
+        )
+    return rows
 
 
 def match_dtype(x: Any, dtype: object, bk: ArrayBackend | None = None) -> Any:

@@ -350,7 +350,7 @@ class TorchBackend(ArrayBackend):
         if out is not None:
             # The compiled graph returns a fresh tensor; land it in the
             # caller's pooled scratch so streaming callers keep their
-            # one-resident-block-per-slot footprint.
+            # one-resident-block-per-key footprint.
             out.copy_(result)
             return out
         return result

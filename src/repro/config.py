@@ -327,7 +327,7 @@ class debug_workspace:
 
     Inside the scope, any streamed kernel evaluation whose ``out`` scratch
     would be silently discarded raises a ``ConfigurationError`` — on every
-    thread, including prefetch and shard workers.  Used by the workspace
+    thread, shard workers included.  Used by the workspace
     regression tests; cheap enough to leave on in CI via
     ``REPRO_DEBUG_WORKSPACE=1``.
     """
@@ -402,8 +402,8 @@ def fusion_enabled() -> bool:
 def set_fusion(enabled: bool | None) -> None:
     """Set (or with ``None`` clear, restoring the enabled default) the
     process-wide fusion flag.  Process-global like
-    :func:`set_workspace_debug`, because blocks form on prefetch and
-    shard worker threads that never see caller-thread scopes."""
+    :func:`set_workspace_debug`, because blocks form on shard worker
+    threads that never see caller-thread scopes."""
     _FUSION.set_global(None if enabled is None else bool(enabled))
 
 

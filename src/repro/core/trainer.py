@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, match_dtype
+from repro.backend import get_backend, match_dtype, numeric_rows
 from repro.config import (
     DEFAULT_BLOCK_SCALARS,
     accumulate_dtype,
@@ -267,6 +267,8 @@ class BaseKernelTrainer:
         # dtype so kb/alpha/y stay contractible on backends without
         # implicit promotion (torch).
         bk = get_backend()
+        # The serving input contract: bool/integer/float elements only.
+        x, y = numeric_rows(x), numeric_rows(y)
         dtype = np.result_type(
             compute_dtype(x, y), self.kernel._eval_dtype(x, x)
         )
@@ -280,6 +282,10 @@ class BaseKernelTrainer:
             else dtype
         )
         x = bk.ascontiguous(bk.as_2d(bk.asarray(x, dtype=dtype)))
+        if x.ndim != 2:
+            raise ConfigurationError(
+                f"x must be 2-D (n, d), got shape {tuple(x.shape)}"
+            )
         y = bk.asarray(y, dtype=master_dtype)
         if y.ndim == 1:
             y = y[:, None]
@@ -344,8 +350,8 @@ class BaseKernelTrainer:
                 self._epoch = epoch
                 perm = rng.permutation(n)
                 # The epoch's batch index blocks, computed once per
-                # permutation (the sharded engine prefetches step t+1
-                # while step t is in flight).
+                # permutation (the sharded engine's recovery resumes at
+                # a cursor into this list).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
                 stop_now = False
                 if max_iterations is not None:

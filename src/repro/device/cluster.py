@@ -36,7 +36,6 @@ __all__ = [
     "Interconnect",
     "multi_gpu",
     "allreduce_time",
-    "pipelined_sync_time",
     "recovery_time",
     "serving_latency",
     "TRANSPORT_INTERCONNECTS",
@@ -142,44 +141,6 @@ def link_cost(
     return allreduce_time(
         transport_interconnect(transport), n_devices, payload_scalars
     )
-
-
-def pipelined_sync_time(
-    interconnect: Interconnect,
-    n_devices: int,
-    payload_scalars: float,
-    overlap_block_time_s: float,
-    *,
-    fused: bool = False,
-) -> float:
-    """Charged collective time when the engine pipelines: the next batch's
-    kernel-block formation (``overlap_block_time_s``) runs *concurrently*
-    with the all-reduce, so the serial per-iteration charge
-    ``t_block + t_allreduce`` becomes ``max(t_block, t_allreduce)`` and
-    the collective's *extra* cost over the already-charged compute is
-    ``max(0, t_allreduce - t_block)``.
-
-    This is the cost-model counterpart of the double-buffered engines in
-    :mod:`repro.core.trainer` / :mod:`repro.shard.trainer`: block
-    formation depends only on the batch and the centers, never on the
-    weights being synchronized, so overlapping them loses no exactness.
-
-    ``fused=True`` prices the fused forward + all-reduce step
-    (``map_allreduce``): the collective rides *inside* the compute task,
-    so the step saves one task round-trip — modelled as one
-    ``interconnect.latency_s`` — before the overlap floor is applied.
-    The payload traversal cost is unchanged: fusion removes a dispatch,
-    not bytes.
-    """
-    if overlap_block_time_s < 0:
-        raise ConfigurationError(
-            "overlap_block_time_s must be >= 0, got "
-            f"{overlap_block_time_s}"
-        )
-    sync = allreduce_time(interconnect, n_devices, payload_scalars)
-    if fused and n_devices > 1:
-        sync = max(0.0, sync - interconnect.latency_s)
-    return max(0.0, sync - float(overlap_block_time_s))
 
 
 def recovery_time(
@@ -297,9 +258,9 @@ def serving_latency(
     - **all-reduce**: :func:`allreduce_time` over the tick's
       ``payload_scalars`` (the coalesced ``B * l`` response block).
       ``fused=True`` (the ``map_allreduce`` path the server actually
-      runs) shaves one ``interconnect.latency_s`` dispatch, exactly as
-      in :func:`pipelined_sync_time` — fusion removes a round-trip, not
-      bytes.
+      runs) shaves one ``interconnect.latency_s`` dispatch off it at
+      ``n_devices > 1`` (the collective rides inside the compute task)
+      — fusion removes a round-trip, not bytes.
 
     ``deadline_s`` models the dispatcher's shedding rule: a request
     whose deadline expires while queued never reaches the shard group,
@@ -337,8 +298,6 @@ def multi_gpu(
     *,
     interconnect: Interconnect | None = None,
     sync_payload_scalars: float = 100_000.0,
-    overlap_block_time_s: float | None = None,
-    fused_collective: bool = False,
 ) -> SimulatedDevice:
     """Aggregate ``n_devices`` copies of ``base`` into one simulated device.
 
@@ -356,33 +315,13 @@ def multi_gpu(
         ``m ~ 1000, l ~ 100``.  The resulting cost is folded into the
         aggregate spec's launch overhead (charged once per iteration),
         which keeps the composed object a plain :class:`DeviceSpec`.
-    overlap_block_time_s:
-        When given, model a *pipelined* engine that forms the next batch's
-        kernel block (taking this many seconds per device) concurrently
-        with the all-reduce: the folded collective cost becomes
-        :func:`pipelined_sync_time`, i.e. only the part of the all-reduce
-        the hidden compute cannot cover.  ``None`` (default) models the
-        serial engine that barriers per collective step.
-    fused_collective:
-        Model the fused forward + all-reduce step (the transport layer's
-        ``map_allreduce``): one task round-trip — one
-        ``interconnect.latency_s`` — is shaved off the per-iteration
-        collective before any pipeline overlap is applied.
     """
     spec = base.spec if isinstance(base, SimulatedDevice) else base
     n_devices = int(n_devices)
     if n_devices < 1:
         raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
     interconnect = interconnect or Interconnect()
-    if overlap_block_time_s is None:
-        sync = allreduce_time(interconnect, n_devices, sync_payload_scalars)
-        if fused_collective and n_devices > 1:
-            sync = max(0.0, sync - interconnect.latency_s)
-    else:
-        sync = pipelined_sync_time(
-            interconnect, n_devices, sync_payload_scalars,
-            overlap_block_time_s, fused=fused_collective,
-        )
+    sync = allreduce_time(interconnect, n_devices, sync_payload_scalars)
     aggregate = DeviceSpec(
         name=f"{spec.name}-x{n_devices}",
         parallel_capacity=spec.parallel_capacity * n_devices,

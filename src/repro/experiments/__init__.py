@@ -28,12 +28,10 @@ from repro.experiments.ablations import (
 from repro.experiments.cluster_scaling import (
     ClusterScalingConfig,
     FailureInjectionConfig,
-    PipelineOverlapConfig,
     ShardValidationConfig,
     failure_injection_supported,
     run_cluster_scaling,
     run_failure_injection,
-    run_pipeline_overlap,
     run_shard_validation,
 )
 from repro.experiments.figure1 import Figure1Config, run_figure1
@@ -65,8 +63,6 @@ __all__ = [
     "run_cluster_scaling",
     "ShardValidationConfig",
     "run_shard_validation",
-    "PipelineOverlapConfig",
-    "run_pipeline_overlap",
     "FailureInjectionConfig",
     "run_failure_injection",
     "failure_injection_supported",
@@ -101,7 +97,6 @@ EXPERIMENTS = {
     "figure2": run_figure2,
     "cluster-scaling": run_cluster_scaling,
     "shard-validation": run_shard_validation,
-    "pipeline-overlap": run_pipeline_overlap,
     "failure-injection": run_failure_injection,
     "observe-report": run_observe_report,
     "serve-report": run_serve_report,

@@ -42,8 +42,6 @@ __all__ = [
     "run_cluster_scaling",
     "ShardValidationConfig",
     "run_shard_validation",
-    "PipelineOverlapConfig",
-    "run_pipeline_overlap",
     "FailureInjectionConfig",
     "run_failure_injection",
     "failure_injection_supported",
@@ -343,227 +341,6 @@ def run_shard_validation(
             )
             or "no multi-shard configurations",
             holds=None,
-        )
-    )
-    return result
-
-
-@dataclass
-class PipelineOverlapConfig:
-    """Workload dimensions for the pipelined-vs-serial sharded engine
-    benchmark.
-
-    The targets are synthetic RKHS-style regression values; only timing is
-    read, but a well-conditioned problem keeps the arithmetic free of
-    denormals/overflow that could skew BLAS throughput.
-    """
-
-    n: int = 12_000
-    d: int = 24
-    l: int = 10
-    m: int = 512
-    s: int = 1_200
-    shard_counts: tuple[int, ...] = (2, 4)
-    n_iterations: int = 20
-    rounds: int = 5
-    warmup: int = 1
-    bandwidth: float = 4.0
-    interconnect: Interconnect = field(
-        default_factory=lambda: Interconnect(
-            latency_s=2e-5, bandwidth_scalars_per_s=5e9
-        )
-    )
-    seed: int = 0
-    #: The pipelined engine may cost at most this factor of the serial
-    #: engine's time before the no-regression claim fails.  The full-size
-    #: default is tight enough to catch a real scheduling regression yet
-    #: leaves margin for single-core hosts, where the prefetch thread's
-    #: interleaving makes ~0.95x speedups with noticeable jitter the
-    #: structural floor; tiny smoke configs, where per-iteration time
-    #: approaches the thread hand-off overhead, raise it further.
-    no_regression_tolerance: float = 1.15
-
-
-def _time_epochs(trainer, x, y, blocks, gamma, rounds, warmup) -> float:
-    """Median seconds for one run of ``_run_epoch`` over ``blocks``,
-    resetting the weights between runs so every round does identical
-    arithmetic."""
-    bk_alpha = trainer._alpha
-
-    def run():
-        bk_alpha[...] = 0.0
-        trainer._run_epoch(x, y, blocks, gamma)
-
-    for _ in range(warmup):
-        run()
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-
-def run_pipeline_overlap(
-    cfg: PipelineOverlapConfig | None = None,
-) -> ExperimentResult:
-    """Measure per-iteration wall time of the serial vs the pipelined
-    (double-buffered) sharded iteration engine at each shard count.
-
-    Each engine is set up *once* (same selection, same shard group) and
-    then timed with ``pipeline`` toggled, so the two measurements run the
-    exact same arithmetic on the exact same state — the only difference
-    is the schedule: barrier-per-collective vs next-block prefetch.  The
-    modelled columns show what the cluster cost model
-    (:func:`repro.device.cluster.pipelined_sync_time`) predicts the
-    overlap is worth per collective.
-
-    Measured overlap gains require idle cores to run the prefetch worker
-    on; the result records ``cpu_count`` so a ~1.0x speedup on a
-    single-core host reads as the hardware floor, not an engine failure.
-    """
-    import os
-
-    from repro.device.cluster import pipelined_sync_time
-    from repro.shard import ShardedEigenPro2
-
-    cfg = cfg or PipelineOverlapConfig()
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal((cfg.n, cfg.d))
-    proj = rng.standard_normal((cfg.d, cfg.l))
-    y = np.tanh(x @ proj / np.sqrt(cfg.d))
-    kernel_args = dict(bandwidth=cfg.bandwidth)
-    trainer_kw = dict(s=cfg.s, batch_size=cfg.m, seed=cfg.seed, damping=0.5)
-    ops = (cfg.d + cfg.l) * cfg.m * cfg.n
-
-    cpu_count = os.cpu_count() or 1
-    result = ExperimentResult(
-        name="pipeline-overlap",
-        title=(
-            "Pipelined (double-buffered) vs serial sharded iteration "
-            "engine (measured per-iteration wall time)"
-        ),
-        notes=(
-            f"workload: n={cfg.n}, d={cfg.d}, l={cfg.l}, m={cfg.m}, "
-            f"s={cfg.s}; {cfg.n_iterations} iterations/run, median of "
-            f"{cfg.rounds} runs; host cpu_count={cpu_count} (thread "
-            "overlap needs >= 2 cores to show up in wall time)."
-        ),
-    )
-
-    speedups: dict[str, float] = {}
-    for g in cfg.shard_counts:
-        label = f"sharded-g{g}"
-        trainer = ShardedEigenPro2(
-            GaussianKernel(**kernel_args),
-            n_shards=g,
-            device=titan_xp(),
-            **trainer_kw,
-        )
-        try:
-            # One real (tiny) fit performs selection, allocates state and
-            # builds the shard group; afterwards _run_epoch is driven
-            # directly with pipeline toggled on the same trainer.
-            trainer.fit(x, y, epochs=1, max_iterations=1)
-            gamma = trainer.step_size_ / trainer.batch_size_
-            perm = np.random.default_rng(cfg.seed + 1).permutation(cfg.n)
-            blocks = [
-                perm[start : start + cfg.m]
-                for start in range(0, cfg.n, cfg.m)
-            ][: cfg.n_iterations]
-            xb, yb = trainer._x, trainer._y
-            timings = {}
-            for pipelined in (False, True):
-                trainer.pipeline = pipelined
-                timings[pipelined] = _time_epochs(
-                    trainer, xb, yb, blocks, gamma, cfg.rounds, cfg.warmup
-                )
-        finally:
-            trainer.close()
-        serial_ms = 1e3 * timings[False] / len(blocks)
-        pipe_ms = 1e3 * timings[True] / len(blocks)
-        speedups[label] = serial_ms / pipe_ms
-        # Cost-model view of the same overlap: per-shard block time
-        # calibrated from the measured serial run, collective charged
-        # serially vs hidden behind the next block's formation.
-        block_s = timings[False] / len(blocks) / g
-        sync = allreduce_time(cfg.interconnect, g, float(cfg.m * cfg.l))
-        sync_pipe = pipelined_sync_time(
-            cfg.interconnect, g, float(cfg.m * cfg.l), block_s
-        )
-        result.add_row(
-            engine=label,
-            iterations=len(blocks),
-            serial_ms_per_iter=round(serial_ms, 3),
-            pipelined_ms_per_iter=round(pipe_ms, 3),
-            speedup=round(speedups[label], 3),
-            modelled_sync_us=round(1e6 * sync, 1),
-            modelled_sync_pipelined_us=round(1e6 * sync_pipe, 1),
-        )
-
-    result.add_claim(
-        PaperClaim(
-            claim_id="pipeline/no-regression",
-            description=(
-                "The pipelined engine is never slower than the serial "
-                "engine beyond scheduling noise (<= "
-                f"{cfg.no_regression_tolerance:.2f}x serial time; "
-                "informational on single-core hosts, where the prefetch "
-                "thread's interleaving is a structural cost overlap "
-                "cannot repay)"
-            ),
-            paper="(engine invariant; overlap loses no exactness)",
-            measured=", ".join(
-                f"{k}: {v:.2f}x" for k, v in speedups.items()
-            ),
-            holds=(
-                all(
-                    v >= 1.0 / cfg.no_regression_tolerance
-                    for v in speedups.values()
-                )
-                if cpu_count >= 2
-                else None
-            ),
-        )
-    )
-    result.add_claim(
-        PaperClaim(
-            claim_id="pipeline/measured-overlap",
-            description=(
-                "Measured per-iteration speedup from overlapping block "
-                "formation with the collective + update at g >= 2 "
-                "(target >= 1.15x; requires idle host cores — "
-                f"cpu_count={cpu_count})"
-            ),
-            paper="compute/communication overlap (PAPERS.md, MLSys'19)",
-            measured=", ".join(f"{k}: {v:.2f}x" for k, v in speedups.items())
-            or "no sharded engines configured",
-            holds=(
-                all(v >= 1.15 for v in speedups.values())
-                if speedups and cpu_count >= 2
-                else None
-            ),
-        )
-    )
-    result.add_claim(
-        PaperClaim(
-            claim_id="pipeline/modelled-overlap",
-            description=(
-                "The cluster cost model charges strictly less collective "
-                "time when the next block's formation is overlapped "
-                "(pipelined_sync_time < allreduce_time)"
-            ),
-            paper="network bandwidth must be taken into account (Section 2)",
-            measured=", ".join(
-                f"{r['engine']}: {r['modelled_sync_pipelined_us']}us vs "
-                f"{r['modelled_sync_us']}us"
-                for r in result.rows
-            )
-            or "no sharded engines configured",
-            holds=all(
-                r["modelled_sync_pipelined_us"] < r["modelled_sync_us"]
-                for r in result.rows
-            ),
         )
     )
     return result

@@ -136,8 +136,7 @@ def relay_op_counts(counts: dict[str, int]) -> None:
 
     This is the single relay rule shared by every engine that meters work
     on a private worker-side :class:`OpMeter` and surfaces it where the
-    result is consumed — the block prefetcher of
-    :mod:`repro.core.trainer` and the shard collectives of
+    result is consumed — the shard collectives of
     :mod:`repro.shard.group`.  Zero entries are skipped so relaying never
     inflates a category's ``calls`` count with empty records.
     """

@@ -23,15 +23,11 @@ Two substrate features keep the streaming cheap:
 Streaming discipline
 --------------------
 A workspace buffer is recycled the moment the same ``(backend, device,
-dtype, slot)`` key is requested again, so a caller must finish consuming
-a block before asking for the next one *under the same slot*.  Pipelined
-callers that overlap the formation of step ``t+1``'s block with the
-consumption of step ``t``'s (the double-buffered iteration engines in
-:mod:`repro.core.trainer` and :mod:`repro.shard`) alternate between
-``slot=0`` and ``slot=1``: each slot keeps one rotating buffer, so at
-most **two** blocks per key are ever resident and neither is overwritten
-while the other is in flight.  Serial callers use the default ``slot=0``
-and keep the historical one-buffer-per-key footprint.
+dtype)`` key is requested again, so a caller must finish consuming a
+block before asking for the next one.  Every caller (the streaming
+primitives here, :mod:`repro.core.trainer` and :mod:`repro.shard`)
+forms a block, consumes it, then forms the next, so one block per key
+is ever resident.
 """
 
 from __future__ import annotations
@@ -62,16 +58,13 @@ __all__ = [
 class BlockWorkspace:
     """Per-thread pool of reusable scratch buffers for streamed blocks.
 
-    One flat buffer is kept per ``(backend, device, dtype, slot)`` key,
-    sized to the largest block requested so far under that key; block
-    views are carved out of it with zero-copy reshapes.  Because a buffer
-    is recycled the moment the next block is requested under the same
-    slot, callers must finish consuming a block (e.g. contract it against
-    the weights) before asking for the next one — exactly the streaming
-    discipline of :func:`kernel_matvec`.  Double-buffered callers rotate
-    ``slot`` between 0 and 1 to hold two in-flight blocks (see the module
-    docstring); the cap is then exactly two resident blocks per
-    ``(backend, device, dtype)``.
+    One flat buffer is kept per ``(backend, device, dtype)`` key, sized
+    to the largest block requested so far under that key; block views
+    are carved out of it with zero-copy reshapes.  Because a buffer is
+    recycled the moment the next block is requested, callers must finish
+    consuming a block (e.g. contract it against the weights) before
+    asking for the next one — exactly the streaming discipline of
+    :func:`kernel_matvec`.
 
     The scalar budget therefore caps the scratch held *per key*; a
     workload that touches several dtypes or backends on one thread keeps
@@ -111,20 +104,14 @@ class BlockWorkspace:
         n_rows: int,
         n_cols: int,
         dtype: object,
-        slot: int = 0,
     ) -> Any:
-        """A ``(n_rows, n_cols)`` scratch block, reusing pooled memory.
-
-        ``slot`` selects one of the rotating buffers for the key: the
-        pipelined shard workers alternate 0/1 so the block being
-        consumed is never the block being formed; everyone else leaves
-        the default and keeps a single buffer per key.
-        """
+        """A ``(n_rows, n_cols)`` scratch block, reusing pooled memory
+        (the previous block under the same key is overwritten)."""
         dtype = np.dtype(dtype)
         cache = self._cache()
         # Device is part of the key: torch:cpu and torch:cuda must never
         # hand each other buffers.
-        key = (bk.name, str(getattr(bk, "device", "")), dtype.str, int(slot))
+        key = (bk.name, str(getattr(bk, "device", "")), dtype.str)
         need = int(n_rows) * int(n_cols)
         buf = cache.get(key)
         if buf is None or buf.shape[0] < need:

@@ -11,9 +11,8 @@ the meter stack deliberately:
   no-op when the stack is empty, so hot paths may open spans
   unconditionally;
 - :func:`relay_spans` is the single relay rule for spans measured on
-  another thread or in another process (shard workers, the block
-  prefetcher), the exact analogue of
-  :func:`repro.instrument.relay_op_counts`.
+  another thread or in another process (shard workers), the exact
+  analogue of :func:`repro.instrument.relay_op_counts`.
 
 Spans never touch :class:`~repro.instrument.OpMeter`\\ s: enabling or
 disabling tracing cannot change an op count, an RPC count, or a numeric

@@ -43,36 +43,16 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.backend import to_numpy
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "PredictRequest",
     "PredictResponse",
-    "numeric_rows",
     "pack_rows",
     "unpack_rows",
 ]
 
 _F8 = np.dtype("<f8")
-
-
-def numeric_rows(rows: Any) -> np.ndarray:
-    """``rows`` as a host bool, integer or float array — the input
-    contract every serving entry point applies before shape checks.
-    :class:`ConfigurationError` when they cannot be made into one
-    (strings, ``None`` entries, ragged nesting, complex values)."""
-    try:
-        arr = np.asarray(to_numpy(rows))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(
-            f"rows are not a numeric array: {exc}"
-        ) from exc
-    if arr.dtype.kind not in "biuf":
-        raise ConfigurationError(
-            f"rows must be bool, integer or float, got dtype {arr.dtype}"
-        )
-    return arr
 
 
 def pack_rows(rows: Any) -> dict[str, Any]:

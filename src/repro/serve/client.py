@@ -36,6 +36,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.backend import numeric_rows, to_numpy
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
@@ -44,7 +45,6 @@ from repro.exceptions import (
 from repro.serve.api import (
     PredictRequest,
     PredictResponse,
-    numeric_rows,
     pack_rows,
     unpack_rows,
 )
@@ -183,7 +183,7 @@ class HttpClient:
         if not isinstance(request, PredictRequest):
             request = PredictRequest(rows=request)
         body: dict[str, Any] = {
-            "rows": pack_rows(numeric_rows(request.rows)),
+            "rows": pack_rows(to_numpy(numeric_rows(request.rows))),
             "priority": request.priority,
             "request_id": request.request_id,
         }

@@ -59,7 +59,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, to_numpy
+from repro.backend import get_backend, numeric_rows, to_numpy
 from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.exceptions import ConfigurationError, DeadlineExceeded, ShardError
 from repro.instrument import OpMeter, meter_scope
@@ -74,7 +74,7 @@ from repro.observe.tracer import (
     trace_scope,
 )
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
-from repro.serve.api import PredictRequest, PredictResponse, numeric_rows
+from repro.serve.api import PredictRequest, PredictResponse
 from repro.shard.group import ShardGroup
 
 __all__ = ["ADAPTIVE", "ModelServer", "ServeOptions"]
@@ -458,7 +458,7 @@ class ModelServer:
         return x if isinstance(x, PredictRequest) else PredictRequest(rows=x)
 
     def _enqueue(self, request: PredictRequest, wants_response: bool) -> Future:
-        x_host = numeric_rows(request.rows)
+        x_host = to_numpy(numeric_rows(request.rows))
         squeeze = x_host.ndim == 1
         if squeeze:
             x_host = x_host[None, :]
@@ -719,8 +719,8 @@ class ModelServer:
     def _launch_batch(self, batch: list[_Request]) -> "_Inflight":
         """Coalesce ``batch`` and submit its fused tick — non-blocking,
         so the workers compute this tick while the dispatcher scatters
-        the previous one and the queue refills behind it (the serving
-        analogue of the sharded trainer's double-buffered pipeline)."""
+        the previous one and the queue refills behind it (up to
+        ``pipeline_depth`` ticks in flight)."""
         dispatch_s = time.perf_counter()
         bounds: list[tuple[int, int]] = []
         lo = 0

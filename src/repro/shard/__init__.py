@@ -22,7 +22,7 @@ real array backends:
   shard — ``torch:cuda:<i>`` included), ``"process"`` (one worker
   process per shard over ``multiprocessing.shared_memory``
   center/weight blocks, tasks shipped by pickle over per-shard pipes —
-  a real IPC round-trip for the pipeline to hide) and ``"torchdist"``
+  a real IPC round-trip per task) and ``"torchdist"``
   (the process architecture with every worker a rank of a
   ``torch.distributed`` process group, so the all-reduce is a *real*
   collective — gloo over CPU tensors anywhere torch is installed, NCCL
@@ -31,10 +31,11 @@ real array backends:
   shard_backends=["torch:cuda:0", "torch:cuda:1"])``);
 - :class:`~repro.shard.group.ShardGroup` — the engine facade: build with
   ``ShardGroup.build(..., transport=<any registered name>)``, run
-  collective steps with :meth:`~repro.shard.group.ShardGroup.map` /
-  :meth:`~repro.shard.group.ShardGroup.map_async`, combine partials with
-  :meth:`~repro.shard.group.ShardGroup.allreduce` (communication metered
-  separately under the ``"allreduce"`` category);
+  collective steps with :meth:`~repro.shard.group.ShardGroup.map` or
+  the fused :meth:`~repro.shard.group.ShardGroup.map_allreduce`, combine
+  partials with :meth:`~repro.shard.group.ShardGroup.allreduce`
+  (communication metered separately under the ``"allreduce"``
+  category);
 - :func:`~repro.shard.ops.sharded_kernel_matvec` /
   :func:`~repro.shard.ops.sharded_predict` — the data-parallel streamed
   primitives mirroring :mod:`repro.kernels.ops`;
@@ -43,17 +44,11 @@ real array backends:
   the single-backend trainer and adapted, by default, to the
   :func:`repro.device.cluster.multi_gpu` aggregate device (with a
   per-transport link model via
-  :func:`repro.device.cluster.transport_interconnect`).  It is the
-  repo's only pipelined engine (the single-backend trainer runs one
-  serial loop), and by default (``pipeline=True``) it overlaps: while
-  step ``t``'s partial predictions are
-  all-reduced and its update/correction applied on the caller thread,
-  every shard worker is already forming step ``t+1``'s kernel block into
-  the other half of its double-buffered workspace (two in-flight
-  ``(m, n_i)`` blocks per shard, slots 0/1 of
-  :class:`~repro.kernels.ops.BlockWorkspace`); the per-collective barrier
-  is replaced by a :class:`~repro.shard.transport.PendingMap` future
-  awaited only when the block is consumed.
+  :func:`repro.device.cluster.transport_interconnect`).  It has one step
+  engine: each step is a single fused ``map_allreduce`` of the forward
+  task (form the ``(m, n_i)`` block, contract it against the shard's
+  weight rows), so every shard holds one resident block and the
+  message-passing transports pay one RPC round-trip per step.
 
 Mirror-back of updated weight rows is *asynchronous* on every transport:
 NumPy thread shards see updates through zero-copy views, device-copy

@@ -29,21 +29,18 @@ cross-transport conformance suite
   :class:`~repro.kernels.ops.BlockWorkspace` high-water mark *is* the
   shard's scratch peak.
 
-Pipelined (non-blocking) collectives
-------------------------------------
-:meth:`ShardGroup.map_async` submits a collective step without
-barriering: it returns a :class:`~repro.shard.transport.PendingMap`
-whose ``result()`` is awaited only when the produced values are actually
-consumed.  Because every worker runs a single FIFO queue, a caller may
-queue the *next* step's kernel-block formation behind the current step's
-contraction and the ordering per shard is automatic — this is what the
-double-buffered :class:`~repro.shard.trainer.ShardedEigenPro2` pipeline
-does, holding at most two in-flight blocks per shard (workspace slots
-0/1; see :mod:`repro.kernels.ops`).  The same FIFO order makes
-:meth:`mirror_rows` asynchronous: a row push queued (thread transport
-with device copies) or written directly into shared memory (process
-transport) after step ``t`` is applied before step ``t+1``'s contraction
-by construction, with no per-update barrier.
+Asynchronous collectives
+------------------------
+:meth:`ShardGroup.map_allreduce_async` submits a fused collective step
+without barriering: it returns a
+:class:`~repro.shard.transport.PendingReduce` whose ``result()`` is
+awaited only when the reduced values are consumed (the serve
+dispatcher keeps several ticks in flight this way).  Every worker runs
+a single FIFO queue, which makes :meth:`mirror_rows` asynchronous: a
+row push queued (thread transport with device copies) or written
+directly into shared memory (process transport) after step ``t`` is
+applied before step ``t+1``'s contraction by construction, with no
+per-update barrier.
 
 Observability
 -------------
@@ -243,18 +240,6 @@ class ShardGroup:
         module-level task functions, not closures.
         """
         return self.transport.map(fn, *args, **kwargs)
-
-    def map_async(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> PendingMap:
-        """Queue ``fn(worker, ...)`` on every shard *without barriering*.
-
-        Returns a :class:`~repro.shard.transport.PendingMap` to be
-        awaited when (and where) the values are consumed.  Deltas are
-        captured per task on the workers, so any number of pending maps
-        may overlap; each worker runs its queue in FIFO order, which is
-        what the pipelined trainer relies on to order block formation
-        against consumption.
-        """
-        return self.transport.map_async(fn, *args, **kwargs)
 
     def allreduce(self, partials: Sequence[Any], bk: ArrayBackend | None = None) -> Any:
         """Combine per-shard partials through the transport's collective

@@ -15,12 +15,10 @@ unsharded counts exactly — the invariant
 ``tests/test_shard_parity.py`` asserts for ``g in {1, 2, 4}``.
 
 Streaming discipline: each worker's blocks live in its thread's
-:class:`~repro.kernels.ops.BlockWorkspace`.  The primitives here consume
-every block before requesting the next (one resident block per key); the
-pipelined trainer (:mod:`repro.shard.trainer`) additionally rotates the
-workspace's two buffer slots, so callers of the shard layer may hold up
-to **two** in-flight blocks per shard — the double-buffer cap the
-workspace accounting tests assert.
+:class:`~repro.kernels.ops.BlockWorkspace`.  The primitives here, like
+the trainer's forward task (:mod:`repro.shard.trainer`), consume every
+block before requesting the next, so each shard holds one resident
+block per key — the cap the workspace accounting tests assert.
 """
 
 from __future__ import annotations

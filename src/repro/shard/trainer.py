@@ -25,38 +25,18 @@ trainer by construction, which is what lets the validation harness
 (``benchmarks/bench_shard.py``) compare modelled against measured time
 for the *same* iteration.
 
-The per-shard work is expressed as module-level *task functions*
-(:func:`_form_block_task`, :func:`_contract_task`, ...) acting on a
+The per-shard work is one module-level *task function*,
+:func:`_forward_task`, acting on a
 :class:`~repro.shard.transport.ShardWorker`, so the same arithmetic runs
 unchanged on every transport — in-process worker threads
-(``transport="thread"``, the default) or worker processes over
-shared-memory weight blocks (``transport="process"``).  The formed block
-never crosses the transport: a *form* task stashes it in the worker's
-slot-keyed ``blocks`` dict and the matching *contract* task consumes it
-there.
-
-Software pipeline (``pipeline=True``, the default)
---------------------------------------------------
-The kernel block of step ``t+1`` depends only on the batch rows and the
-(immutable) shard centers — never on the weights — so its formation is
-*prefetched*: while step ``t``'s partial predictions are all-reduced and
-the coordinate update + correction run on the caller thread, every shard
-worker is already forming step ``t+1``'s ``(m, n_i)`` block into the
-other half of its double-buffered workspace (slots 0/1 of the per-worker
-:class:`~repro.kernels.ops.BlockWorkspace`).  Each step splits into
-
-1. **contract** (weight-dependent, cannot be prefetched): ``kb_t @ w``,
-   queued first on each worker's FIFO;
-2. **prefetch** (weight-independent): form ``kb_{t+1}`` and copy out its
-   ``Phi`` columns, queued immediately behind the contraction so it fills
-   the worker's idle time during the caller-side collective + update.
-
-The per-collective barrier is a
-:class:`~repro.shard.transport.PendingMap` future awaited only when the
-block (or the partial prediction) is actually consumed.  Nothing stale
-is ever read — the prefetch touches no array the update writes — so
-pipelined and serial runs are numerically identical, with identical
-aggregate op counts.
+(``transport="thread"``, the default), worker processes over
+shared-memory weight blocks (``transport="process"``) or
+``torch.distributed`` ranks.  Each step is one fused
+:meth:`~repro.shard.ShardGroup.map_allreduce` call: the task forms the
+``(m, n_i)`` block in the worker's
+:class:`~repro.kernels.ops.BlockWorkspace` and contracts it in place, so
+the block never crosses the transport and each shard holds one resident
+block.
 
 Asynchronous mirror-back
 ------------------------
@@ -67,13 +47,13 @@ The mirror of updated weight rows never barriers the caller:
 - thread transport, device-copy shards: the row push is queued on each
   worker's FIFO and the resulting future is drained at the *next*
   barrier (by then it has already completed — FIFO order put it before
-  the contraction that barrier awaited), surfacing push errors at most
+  the forward task that barrier awaited), surfacing push errors at most
   one step late;
 - process transport: the parent writes the rows directly into the
   shared-memory weight segment — no task, no IPC.  Ordering is by
-  construction: weight-reading contract tasks are only queued after the
+  construction: the next step's forward task is only queued after the
   write returns (the task channel's send/recv is the cross-process
-  happens-before edge), and in-flight prefetches never read weights.
+  happens-before edge).
 """
 
 from __future__ import annotations
@@ -111,27 +91,25 @@ __all__ = ["ShardedEigenPro2"]
 # ---------------------------------------------------------------------------
 
 
-def _form_block_task(
+def _forward_task(
     worker: ShardWorker,
     xb: np.ndarray,
     xb_sq_norms: np.ndarray | None,
-    slot: int,
-) -> Any | None:
-    """Form the batch-vs-shard block ``(m, n_i)`` and copy out its
-    ``Phi`` columns (both weight-independent, hence prefetchable).
+) -> tuple[Any, Any | None]:
+    """One shard's part of a step: form the batch-vs-shard block
+    ``(m, n_i)``, copy out its ``Phi`` columns and contract the block
+    against the shard's current weight rows.
 
-    The block is stashed in ``worker.blocks[slot]`` for the matching
-    :func:`_contract_task`; only the (small) ``Phi`` column copy is
-    returned across the transport.  ``slot`` picks the double-buffer
-    half of the worker's workspace.
+    Returns ``(f_i, phi_i)``: the ``(m, l)`` partial prediction (the
+    all-reduce operand) and the block's columns at this shard's
+    subsample centers (``None`` when it owns none).
     """
     kernel: Kernel = worker.state["kernel"]
     ebk = worker.backend
+    m = int(xb.shape[0])
     block_dtype = kernel._eval_dtype(xb, worker.centers)
-    with span("form_block", slot=slot, m=int(xb.shape[0])):
-        scratch = block_workspace().get(
-            ebk, xb.shape[0], worker.n_centers, block_dtype, slot=slot
-        )
+    with span("form_block", m=m):
+        scratch = block_workspace().get(ebk, m, worker.n_centers, block_dtype)
         kb = kernel(
             xb,
             worker.centers,
@@ -139,7 +117,6 @@ def _form_block_task(
             x_sq_norms=xb_sq_norms,
             z_sq_norms=worker.center_sq_norms,
         )  # (m, n_i): records kernel_eval on the shard meter
-        worker.blocks[slot] = kb
         phi_i = None
         local = worker.state.get("local_sub")
         if local is not None and local.size:
@@ -148,16 +125,7 @@ def _form_block_task(
             # may be recycled (and the copy shipped cross-process)
             # safely.
             phi_i = kb[:, local]
-    return phi_i
-
-
-def _contract_task(worker: ShardWorker, slot: int) -> Any:
-    """Contract the block formed into ``slot`` against the shard's
-    *current* weight rows (weight-dependent: FIFO order guarantees the
-    previous step's update has been mirrored by the time this runs)."""
-    kb = worker.blocks.pop(slot)
-    ebk = worker.backend
-    with span("gemm", slot=slot, m=int(kb.shape[0])):
+    with span("gemm", m=m):
         w = worker.weights
         w_dtype = ebk.dtype_of(w)
         if mixed_precision_active() and ebk.dtype_of(kb) != w_dtype:
@@ -171,18 +139,8 @@ def _contract_task(worker: ShardWorker, slot: int) -> Any:
             kb = match_dtype(kb, w_dtype, ebk)
         f_i = kb @ w  # (m, l) partial prediction
         l = w.shape[1] if w.ndim == 2 else 1
-        record_ops("gemm", kb.shape[0] * worker.n_centers * l)
-    return f_i
-
-
-def _forward_task(
-    worker: ShardWorker,
-    xb: np.ndarray,
-    xb_sq_norms: np.ndarray | None,
-) -> tuple[Any, Any | None]:
-    """Serial-path step: form the block and contract it in one task."""
-    phi_i = _form_block_task(worker, xb, xb_sq_norms, 0)
-    return _contract_task(worker, 0), phi_i
+        record_ops("gemm", m * worker.n_centers * l)
+    return f_i, phi_i
 
 
 class ShardedEigenPro2(EigenPro2):
@@ -253,12 +211,6 @@ class ShardedEigenPro2(EigenPro2):
         on every group build — initial and rebuilt alike (e.g.
         ``{"timeout_s": 20.0}`` for torchdist, ``{"start_method":
         "spawn"}`` for the process transport).
-    pipeline:
-        When True (the default), shard workers prefetch the next step's
-        kernel blocks while the caller applies the current update (see
-        the module docstring); ``False`` runs the strictly serial
-        per-collective barrier.  Both give identical weights and op
-        counts.
     **eigenpro_kwargs:
         Everything :class:`~repro.core.eigenpro2.EigenPro2` accepts
         (``s``, ``q``, ``batch_size``, ``step_size``, ``seed``, ...).
@@ -294,7 +246,6 @@ class ShardedEigenPro2(EigenPro2):
         min_shards: int = 1,
         checkpoint_dir: str | Path | None = None,
         transport_options: dict[str, Any] | None = None,
-        pipeline: bool = True,
         **eigenpro_kwargs: Any,
     ) -> None:
         if checkpoint_every < 0:
@@ -337,7 +288,6 @@ class ShardedEigenPro2(EigenPro2):
                 ).trainer_interconnect(shard_backends)
             device = multi_gpu(titan_xp(), n_shards, interconnect=interconnect)
         super().__init__(kernel, device=device, **eigenpro_kwargs)
-        self.pipeline = bool(pipeline)
         self.n_shards = n_shards
         self.shard_backends = shard_backends
         self.transport = transport
@@ -413,42 +363,41 @@ class ShardedEigenPro2(EigenPro2):
         )
 
     # ----------------------------------------------------------- iteration
-    def _host_batch(
-        self, x: Any, idx: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Host-side batch rows and their precomputed squared norms (the
-        norms sliced once here, not re-reduced by every shard)."""
-        xb = np.asarray(to_numpy(x[idx]))  # (m, d) batch, host-side
-        xb_sq_norms = (
-            None
-            if self._x_sq_norms is None
-            else np.asarray(to_numpy(self._x_sq_norms[idx]))
-        )
-        return xb, xb_sq_norms
-
     def _drain_pending_mirror(self) -> None:
         """Surface any error from the previous step's queued row pushes.
 
         Never a barrier in the steady state: the pushes were queued
-        before a contraction this caller has since awaited, so FIFO
+        before a forward task this caller has since awaited, so FIFO
         worker order guarantees they already ran."""
         pending, self._pending_mirror = self._pending_mirror, None
         if pending is not None:
             pending.result()
 
-    def _apply_shard_step(
-        self,
-        group: ShardGroup,
-        f: Any,
-        phi_parts: list[Any | None],
-        y: Any,
-        idx: np.ndarray,
-        gamma: float,
+    def _iterate(
+        self, x: Any, y: Any, idx: np.ndarray, gamma: float
     ) -> None:
-        """Apply the coordinate update + EigenPro correction (Algorithm 1
-        steps 3–5) to the already all-reduced batch prediction ``f`` on
-        the caller thread; mirror touched rows to the shards
-        asynchronously."""
+        """One sharded step: a fused forward + all-reduce on the shards
+        (Algorithm 1 step 2), then the coordinate update + EigenPro
+        correction (steps 3–5) on the caller thread; touched rows are
+        mirrored to the shards asynchronously."""
+        group = self.shard_group_
+        if group is None:
+            # Standalone call before a sharded fit (e.g. the Table-1 style
+            # single-iteration metering): run the unsharded iteration.
+            super()._iterate(x, y, idx, gamma)
+            return
+        # Host-side batch rows and their squared norms (sliced once here,
+        # not re-reduced by every shard).
+        xb = np.asarray(to_numpy(x[idx]))  # (m, d)
+        xb_sq_norms = (
+            None
+            if self._x_sq_norms is None
+            else np.asarray(to_numpy(self._x_sq_norms[idx]))
+        )
+        # One collective step (a single RPC round-trip per rank on the
+        # message-passing transports) yields the reduced batch prediction
+        # and the per-shard Phi columns.
+        f, phi_parts = group.map_allreduce(_forward_task, xb, xb_sq_norms)
         self._drain_pending_mirror()
         bk = get_backend()
         alpha_dtype = bk.dtype_of(self._alpha)
@@ -486,22 +435,6 @@ class ShardedEigenPro2(EigenPro2):
             touched.append(self._sub_idx)
         self._mirror_rows(np.concatenate(touched))
 
-    def _iterate(
-        self, x: Any, y: Any, idx: np.ndarray, gamma: float
-    ) -> None:
-        group = self.shard_group_
-        if group is None:
-            # Standalone call before a sharded fit (e.g. the Table-1 style
-            # single-iteration metering): run the unsharded iteration.
-            super()._iterate(x, y, idx, gamma)
-            return
-        xb, xb_sq_norms = self._host_batch(x, idx)
-        # Fused forward + all-reduce: one collective step (a single RPC
-        # round-trip per rank on torchdist) yields the reduced batch
-        # prediction and the per-shard Phi columns.
-        f, phi_parts = group.map_allreduce(_forward_task, xb, xb_sq_norms)
-        self._apply_shard_step(group, f, phi_parts, y, idx, gamma)
-
     # ---------------------------------------------------- epoch w/ recovery
     def _run_epoch(
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
@@ -538,51 +471,9 @@ class ShardedEigenPro2(EigenPro2):
         checkpointing is enabled)."""
         if self.checkpoint_every > 0:
             self._take_checkpoint(start)
-        if self.pipeline and len(blocks) - start > 1:
-            self._run_span_pipelined(x, y, blocks, gamma, start=start)
-            return
         for t in range(start, len(blocks)):
             self._cursor = t
             self._iterate(x, y, blocks[t], gamma)
-            self._maybe_checkpoint(t + 1)
-            self._note_step_complete(t)
-
-    def _run_span_pipelined(
-        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float,
-        start: int,
-    ) -> None:
-        """Software pipeline over ``blocks[start:]`` (module docstring).
-
-        Per step ``t``: await the prefetched blocks, queue the contraction
-        against the current weights, queue step ``t+1``'s prefetch right
-        behind it (other workspace slot), then — while the workers run —
-        await the partial predictions and apply the update/correction on
-        this thread.  FIFO worker queues order contraction before the
-        prefetch that would need the next slot, and the update (+ mirror)
-        completes before step ``t+1``'s contraction is queued, so every
-        contraction sees exactly the weights the serial engine would.
-        """
-        group = self.shard_group_
-
-        def prefetch(idx: np.ndarray, slot: int) -> PendingMap:
-            xb, xb_sq_norms = self._host_batch(x, idx)
-            return group.map_async(_form_block_task, xb, xb_sq_norms, slot)
-
-        pending = prefetch(blocks[start], start % 2)
-        for t in range(start, len(blocks)):
-            self._cursor = t
-            idx = blocks[t]
-            with span("form_block_wait", step=t):
-                phi_parts = pending.result()  # [phi_i] — relays kernel_eval
-            # Fused contract + all-reduce: transports with a task-channel
-            # collective run both in one task per rank (one round-trip);
-            # the others combine host-side at await time, as before.
-            contracting = group.map_allreduce_async(_contract_task, t % 2)
-            if t + 1 < len(blocks):
-                pending = prefetch(blocks[t + 1], (t + 1) % 2)
-            with span("gemm_wait", step=t):
-                f, _ = contracting.result()  # relays gemm + allreduce ops
-            self._apply_shard_step(group, f, phi_parts, y, idx, gamma)
             self._maybe_checkpoint(t + 1)
             self._note_step_complete(t)
 

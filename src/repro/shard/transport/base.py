@@ -8,10 +8,8 @@ two halves:
   (an in-process worker thread, a child process, eventually a NCCL rank):
   the shard's centers/weights on its own
   :class:`~repro.backend.ArrayBackend` instance, the precomputed center
-  squared norms, a private :class:`~repro.instrument.OpMeter`, a
-  ``state`` dict for per-fit context (the kernel, subsample indices) and
-  a ``blocks`` dict holding in-flight kernel blocks between a *form* and
-  its *contract* task.
+  squared norms, a private :class:`~repro.instrument.OpMeter` and a
+  ``state`` dict for per-fit context (the kernel, subsample indices).
 - :class:`ShardTransport` — the caller-side engine that owns ``g``
   workers and moves work and data to them: ``submit``/``map_async``
   (queue a task on every shard's FIFO worker), ``allreduce`` (combine
@@ -36,9 +34,7 @@ Ordering contract: each worker runs its queue FIFO.  This is what makes
 the asynchronous mirror-back sound — a mirror queued (or, for
 shared-memory transports, written directly) after step ``t``'s collective
 is always applied before step ``t+1``'s weight-dependent contraction,
-because that contraction is queued later — and what lets the pipelined
-trainer queue step ``t+1``'s block formation behind step ``t``'s
-contraction with no extra synchronization.
+because that contraction is queued later.
 """
 
 from __future__ import annotations
@@ -172,10 +168,6 @@ class ShardWorker:
         #: Per-fit context pushed by the caller (kernel, subsample
         #: indices, ...) via the transport's state broadcast/scatter.
         self.state: dict[str, Any] = {}
-        #: In-flight kernel blocks keyed by workspace slot: a *form* task
-        #: stashes the block here so the matching *contract* task can
-        #: consume it without the block ever crossing the transport.
-        self.blocks: dict[int, Any] = {}
 
     # ------------------------------------------------------------- geometry
     @property
@@ -275,7 +267,6 @@ class ShardWorker:
         ws = block_workspace()
         self.workspace_peak = max(self.workspace_peak, ws.peak_scalars)
         ws.reset()
-        self.blocks.clear()
 
 
 class PendingMap:

@@ -2,9 +2,8 @@
 
 Where the thread transport's "network" is a host memcpy, this transport
 pays a real inter-process round-trip per task (pickle over a duplex
-pipe), which is what lets the pipelined trainer's prefetch hide a
-genuine communication cost — the ROADMAP's step from modelled Section-6
-clusters toward executors with an actual interconnect.
+pipe) — the step from modelled Section-6 clusters toward executors with
+an actual interconnect.
 
 Architecture
 ------------
@@ -25,11 +24,10 @@ Architecture
   library's tasks are).
 - **Asynchronous mirror-back.**  Because the weight rows live in shared
   memory, :meth:`ProcessTransport.mirror_rows` is a direct host write by
-  the parent — no task, no IPC, no barrier.  It is sound because only
-  weight-dependent *contract* tasks read the rows, any such task is
-  queued after the write returns, and the task's send/recv provides the
-  inter-process happens-before edge.  (Block *formation* tasks may be in
-  flight during the write; they never read weights.)
+  the parent — no task, no IPC, no barrier.  It is sound because the
+  trainer queues the next weight-reading forward task only after the
+  write returns, and the task's send/recv provides the inter-process
+  happens-before edge.
 - **Failure containment.**  A worker that dies mid-task (killed, OOM,
   crash) surfaces as a :class:`~repro.exceptions.ShardError` naming the
   shard — never a hang — and the transport stays closeable: ``close()``

@@ -42,9 +42,9 @@ class ShardExecutor(ShardWorker):
     Every operation this executor performs is recorded on its private
     meter (worker threads have no ambient meters); each task submitted
     via :meth:`submit_metered` captures its own op-count delta *on the
-    worker*, so several tasks may be in flight concurrently (the
-    pipelined trainer queues the next block's formation behind the
-    current contraction) without their deltas interleaving.
+    worker*, so several tasks may be in flight concurrently (a queued
+    row push behind a forward task, or the serve dispatcher's
+    overlapping ticks) without their deltas interleaving.
     """
 
     def __init__(

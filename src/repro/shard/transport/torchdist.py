@@ -43,9 +43,9 @@ death, segments always unlinked.  This transport adds:
 - **Fused forward + all-reduce.**  :meth:`map_allreduce` /
   :meth:`map_allreduce_async` override the base host-combine path with
   :func:`_fused_collective_task`: each rank runs the forward task *and*
-  its ``dist.all_reduce`` inside one RPC, so a serial sharded training
-  step costs **one** round-trip instead of two (pipelined: two instead
-  of three) — the RPC pins in the conformance suite.  Rank 0's reply
+  its ``dist.all_reduce`` inside one RPC, so a sharded training step
+  costs **one** round-trip instead of two — the RPC pins in the
+  conformance suite.  Rank 0's reply
   carries the reduced array; the caller still records the
   ``(g - 1) * payload`` ``"allreduce"`` ops, and under
   ``use_precision("mixed")`` each rank upcasts its float32 partial to
@@ -442,11 +442,10 @@ class TorchDistributedTransport(ProcessTransport):
     ) -> PendingReduce:
         """Fused form of map + all-reduce: each rank runs ``fn`` *and*
         the ``dist.all_reduce`` inside a single task — one RPC round-trip
-        per rank and step where the unfused path pays two (the serial
-        sharded iteration drops from 2 round-trips to 1; the pipelined
-        one from 3 to 2).  Single-rank groups keep the base path — no
-        collective task, no ``"allreduce"`` ops, matching the cost
-        model's ``g = 1`` short circuit."""
+        per rank and step where the unfused path pays two.  Single-rank
+        groups keep the base path — no collective task, no
+        ``"allreduce"`` ops, matching the cost model's ``g = 1`` short
+        circuit."""
         if self.g == 1:
             return super().map_allreduce_async(fn, *args, bk=bk, **kwargs)
         pending = PendingMap(

@@ -87,23 +87,6 @@ class TestHistoryEntries:
             ("process", 3.0),
         ]
 
-    def test_pipeline_payload_keys_by_engine(self):
-        payload = {
-            "benchmark": "pipeline-overlap",
-            "run_id": {"id": "x", "started_at": "t", "commit": "c1"},
-            "rows": [
-                {"engine": "single", "pipelined_ms_per_iter": 5.0,
-                 "speedup": 1.0},
-                {"engine": "sharded-g2", "pipelined_ms_per_iter": 3.0,
-                 "speedup": 1.4},
-            ],
-        }
-        entries = merge_trajectory.history_entries(payload)
-        assert {(e["experiment"], e["transport"]) for e in entries} == {
-            ("pipeline-overlap", "single"),
-            ("pipeline-overlap", "sharded-g2"),
-        }
-
     def test_v2_history_passes_through(self):
         history = {
             "schema": merge_trajectory.SCHEMA,

@@ -104,6 +104,33 @@ class TestBadInputs:
         with pytest.raises(Exception):
             t.fit(np.zeros((0, 4)), np.zeros((0, 1)))
 
+    # fit() applies the serving element-type contract plus a 2-D check on
+    # x: each malformed input is a ConfigurationError, never a silent
+    # cast (strings parsed, imaginary parts dropped) or a bare numpy
+    # TypeError/ValueError.
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda x, y: (x.astype(str), y), id="string-x"),
+            pytest.param(
+                lambda x, y: ([[None] * x.shape[1]] + x[1:].tolist(), y),
+                id="none-x",
+            ),
+            pytest.param(
+                lambda x, y: ([x[0, :-1].tolist()] + x[1:].tolist(), y),
+                id="ragged-x",
+            ),
+            pytest.param(lambda x, y: (x + 1j, y), id="complex-x"),
+            pytest.param(lambda x, y: (x[:, :, None], y), id="3d-x"),
+            pytest.param(lambda x, y: (x, y.astype(str)), id="string-y"),
+        ],
+    )
+    def test_malformed_input_rejected(self, small_xy, corrupt):
+        x, y = corrupt(*small_xy)
+        t = EigenPro2(GaussianKernel(bandwidth=2.0), seed=0)
+        with pytest.raises(ConfigurationError):
+            t.fit(x, y)
+
 
 class TestSolverCapsAreHonest:
     def test_smo_reports_unconverged(self, small_dataset):
@@ -152,20 +179,20 @@ def _raise_task(worker):
 _KILL_COUNTER = {"n": 0}
 
 # Bound at import time: forked children inherit the monkeypatched trainer
-# module, so the wrapper below must call the *original* form task, not
+# module, so the wrapper below must call the *original* forward task, not
 # whatever the module attribute points at after the patch.
-from repro.shard.trainer import _form_block_task as _ORIGINAL_FORM_TASK  # noqa: E402
+from repro.shard.trainer import _forward_task as _ORIGINAL_FORWARD_TASK  # noqa: E402
 
 
-def _form_block_then_die_task(worker, xb, xb_sq_norms, slot):
-    # Module-level (hence picklable) wrapper around the trainer's form
+def _forward_then_die_task(worker, xb, xb_sq_norms):
+    # Module-level (hence picklable) wrapper around the trainer's forward
     # task that crashes shard 1's worker after a couple of iterations —
     # a mid-epoch worker death.  The counter is per-process: each forked
-    # child counts its own form calls.
+    # child counts its own forward calls.
     _KILL_COUNTER["n"] += 1
     if _KILL_COUNTER["n"] > 2 and worker.shard_id == 1:
         os._exit(5)
-    return _ORIGINAL_FORM_TASK(worker, xb, xb_sq_norms, slot)
+    return _ORIGINAL_FORWARD_TASK(worker, xb, xb_sq_norms)
 
 
 # Kill-*once* injection for the elastic-recovery tests.  The dying worker
@@ -177,7 +204,7 @@ _KILL_FLAG_ENV = "REPRO_TEST_RECOVERY_KILL_FLAG"
 _KILL_SHARD_ENV = "REPRO_TEST_RECOVERY_KILL_SHARD"
 
 
-def _form_block_kill_once_task(worker, xb, xb_sq_norms, slot):
+def _forward_kill_once_task(worker, xb, xb_sq_norms):
     _KILL_COUNTER["n"] += 1
     flag = os.environ.get(_KILL_FLAG_ENV)
     target = int(os.environ.get(_KILL_SHARD_ENV, "-1"))
@@ -190,7 +217,7 @@ def _form_block_kill_once_task(worker, xb, xb_sq_norms, slot):
         with open(flag, "w") as fh:
             fh.write(str(worker.shard_id))
         os._exit(7)
-    return _ORIGINAL_FORM_TASK(worker, xb, xb_sq_norms, slot)
+    return _ORIGINAL_FORWARD_TASK(worker, xb, xb_sq_norms)
 
 
 def _recovery_problem(n=240, d=8, l=3, seed=0):
@@ -406,8 +433,8 @@ class TestProcessTransportFailure:
             seed=0,
             max_recoveries=0,
         )
-        original_form = shard_trainer._form_block_task
-        shard_trainer._form_block_task = _form_block_then_die_task
+        original_forward = shard_trainer._forward_task
+        shard_trainer._forward_task = _forward_then_die_task
         try:
             with pytest.raises(ShardError, match="died") as excinfo:
                 trainer.fit(
@@ -415,7 +442,7 @@ class TestProcessTransportFailure:
                 )
             names = _leaked_segment_names(trainer.shard_group_)
         finally:
-            shard_trainer._form_block_task = original_form
+            shard_trainer._forward_task = original_forward
             trainer.close()
         _assert_segments_unlinked(names)
         # The epoch-anchor checkpoint existed before the failure, so the
@@ -452,7 +479,7 @@ class TestProcessElasticRecovery:
         monkeypatch.setenv(_KILL_FLAG_ENV, str(flag))
         monkeypatch.setenv(_KILL_SHARD_ENV, str(g - 1))
         monkeypatch.setattr(
-            shard_trainer, "_form_block_task", _form_block_kill_once_task
+            shard_trainer, "_forward_task", _forward_kill_once_task
         )
         trainer = _recovery_trainer(g, "process")
         try:
@@ -507,7 +534,7 @@ class TestProcessElasticRecovery:
         monkeypatch.setenv(_KILL_FLAG_ENV, str(tmp_path / "killed.flag"))
         monkeypatch.setenv(_KILL_SHARD_ENV, "1")
         monkeypatch.setattr(
-            shard_trainer, "_form_block_task", _form_block_kill_once_task
+            shard_trainer, "_forward_task", _forward_kill_once_task
         )
         trainer = _recovery_trainer(2, "process", min_shards=2)
         try:

@@ -4,7 +4,9 @@ Covers :func:`repro.kernels.ops.row_block_sizes` corner cases and the
 memory contract of :func:`predict_in_blocks`: streamed temporaries must
 respect the scalar budget (:data:`~repro.config.DEFAULT_BLOCK_SCALARS` by
 default), which the shared :class:`~repro.kernels.ops.BlockWorkspace`
-makes directly observable via its per-thread high-water mark.
+makes directly observable via its per-thread high-water mark.  Also
+covered: the ``debug_workspace`` assertion that pooled scratch cannot be
+silently discarded, on the streaming primitives and both trainers.
 """
 
 from __future__ import annotations
@@ -12,15 +14,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_BLOCK_SCALARS
+from repro.backend import NumpyBackend
+from repro.config import DEFAULT_BLOCK_SCALARS, debug_workspace
+from repro.core.eigenpro2 import EigenPro2
+from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.kernels.ops import (
+    BlockWorkspace,
     block_workspace,
+    kernel_matrix,
     kernel_matvec,
     predict_in_blocks,
     row_block_sizes,
 )
+from repro.shard import ShardedEigenPro2
 
 
 class TestRowBlockSizesEdges:
@@ -111,6 +119,14 @@ class TestWorkspaceBudget:
         # 16-row blocks of 64 columns: exactly one 1024-scalar buffer.
         assert block_workspace().peak_scalars == 1024
 
+    def test_repeated_get_keeps_one_buffer(self):
+        """Re-requesting a key recycles its single buffer."""
+        ws = BlockWorkspace()
+        bk = NumpyBackend()
+        for _ in range(5):
+            ws.get(bk, 8, 16, np.float64)
+        assert ws.peak_scalars == 8 * 16
+
     def test_results_unchanged_by_reuse(self):
         """Workspace recycling must not corrupt later blocks (values are
         contracted before the buffer is reused)."""
@@ -134,3 +150,59 @@ class TestWorkspaceBudget:
         assert block_workspace().peak_scalars > 0
         block_workspace().reset()
         assert block_workspace().peak_scalars == 0
+
+
+class TestWorkspaceDebugFlag:
+    def test_discarded_scratch_raises_under_debug(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 3))
+        kernel = GaussianKernel(bandwidth=1.0)
+        bad = np.empty((2, 2))  # wrong shape
+        with debug_workspace():
+            with pytest.raises(ConfigurationError):
+                kernel(x, x, out=bad)
+        # With the flag off (forced — CI may export REPRO_DEBUG_WORKSPACE)
+        # the historical fall-back-to-allocate holds.
+        with debug_workspace(False):
+            out = kernel(x, x, out=bad)
+        assert out.shape == (4, 4)
+
+    def test_wrong_dtype_raises_under_debug(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 3))
+        kernel = GaussianKernel(bandwidth=1.0)
+        bad = np.empty((4, 4), dtype=np.float32)
+        with debug_workspace():
+            with pytest.raises(ConfigurationError):
+                kernel(x, x, out=bad)
+
+    def test_streaming_paths_clean_under_debug(self, small_dataset):
+        """The hot paths request correctly-dtyped scratch up front, so the
+        debug assertions never fire on them — the serial trainer and the
+        sharded one alike, including a dtype-pinned kernel."""
+        ds = small_dataset
+        kw = dict(s=80, batch_size=32, seed=0, damping=0.9)
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal(ds.x_train.shape[0])
+        with debug_workspace():
+            kernel_matvec(
+                GaussianKernel(bandwidth=2.5), ds.x_test, ds.x_train, w
+            )
+            # float32-pinned kernel against float64 data: kernel_matrix
+            # must route blocks through pooled eval-dtype scratch.
+            pinned = GaussianKernel(bandwidth=2.5, dtype=np.float32)
+            kernel_matrix(pinned, ds.x_test[:16], ds.x_train[:32])
+            trainer = EigenPro2(
+                GaussianKernel(bandwidth=2.5), device=titan_xp(), **kw
+            )
+            trainer.fit(ds.x_train, ds.y_train, epochs=1)
+            sharded = ShardedEigenPro2(
+                GaussianKernel(bandwidth=2.5),
+                n_shards=2,
+                device=titan_xp(),
+                **kw,
+            )
+            try:
+                sharded.fit(ds.x_train, ds.y_train, epochs=1)
+            finally:
+                sharded.close()

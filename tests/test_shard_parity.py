@@ -220,7 +220,7 @@ class TestShardedOps:
 
 
 class TestShardedEigenPro2:
-    def _fit_pair(self, dataset, g, epochs=2):
+    def _fit_pair(self, dataset, g, epochs=2, checkpoint_every=25):
         kwargs = dict(s=80, batch_size=32, seed=0, damping=0.9)
         ref = EigenPro2(
             GaussianKernel(bandwidth=2.5), device=titan_xp(), **kwargs
@@ -230,15 +230,26 @@ class TestShardedEigenPro2:
             GaussianKernel(bandwidth=2.5),
             n_shards=g,
             device=titan_xp(),
+            checkpoint_every=checkpoint_every,
             **kwargs,
         )
         sharded.fit(dataset.x_train, dataset.y_train, epochs=epochs)
         return ref, sharded
 
-    @shard_counts
-    def test_matches_unsharded_trainer(self, small_dataset, g):
-        ref, sharded = self._fit_pair(small_dataset, g)
+    # The default cadence (25) keeps the bare shard-count id; ``0`` runs
+    # the epoch loop with no anchor or periodic checkpoints at all.
+    @pytest.mark.parametrize(
+        "g, checkpoint_every",
+        [pytest.param(g, 25, id=str(g)) for g in G_VALUES]
+        + [pytest.param(g, 0, id=f"{g}-no-checkpoint") for g in G_VALUES],
+    )
+    def test_matches_unsharded_trainer(self, small_dataset, g, checkpoint_every):
+        ref, sharded = self._fit_pair(
+            small_dataset, g, checkpoint_every=checkpoint_every
+        )
         try:
+            if checkpoint_every == 0:
+                assert sharded.last_checkpoint_ is None
             scale = max(float(np.abs(ref._alpha).max()), 1.0)
             np.testing.assert_allclose(
                 sharded._alpha, ref._alpha, atol=1e-6 * scale, rtol=0
@@ -253,6 +264,27 @@ class TestShardedEigenPro2:
             assert sharded.step_size_ == ref.step_size_
         finally:
             sharded.close()
+
+    @shard_counts
+    def test_shard_workspace_holds_one_block(self, small_dataset, g):
+        """Each step forms and contracts one (m, n_i) block per shard, so
+        a shard's scratch never exceeds one block."""
+        trainer = ShardedEigenPro2(
+            GaussianKernel(bandwidth=2.5),
+            n_shards=g,
+            device=titan_xp(),
+            s=80,
+            batch_size=32,
+            seed=0,
+            damping=0.9,
+        )
+        try:
+            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
+            m = trainer.batch_size_
+            for ex in trainer.shard_group_.executors:
+                assert 0 < ex.workspace_peak <= m * ex.n_centers
+        finally:
+            trainer.close()
 
     @shard_counts
     def test_sharded_predict_matches_model(self, small_dataset, g):

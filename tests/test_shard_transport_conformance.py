@@ -24,9 +24,8 @@ automatically at collection) to the same contract:
   ``"allreduce"`` (zero at ``g = 1``);
 - **asynchronous mirror-back**: the process-architecture row mirror is a
   direct shared-memory write — visible to the workers, no task, no
-  barrier — pinned by exact per-worker RPC counts for both the
-  pipelined and the serial (form+contract batched into one round-trip)
-  iteration;
+  barrier — pinned by exact per-worker RPC counts: one round-trip per
+  training step;
 - **real collective**: the torchdist transport's all-reduce rides one
   task per rank through ``dist.all_reduce`` and meters the same
   shape-derived ``(g - 1) * payload`` charge as the host-side sum;
@@ -301,9 +300,10 @@ class TestProcessMirrorBack:
 
     @needs_process
     def test_trainer_never_queues_mirror_tasks(self, small_dataset):
-        """End to end: a pipelined process-transport fit performs no
-        per-update mirror barrier — its RPC traffic is exactly the
-        form/contract (+ state setup and teardown) tasks."""
+        """End to end: a process-transport fit performs no per-update
+        mirror barrier — its RPC traffic is exactly one fused forward
+        task per step (``_forward_task``: form + contract) plus the
+        batched state setup and the workspace drain."""
         trainer = ShardedEigenPro2(
             GaussianKernel(bandwidth=BANDWIDTH),
             n_shards=2,
@@ -315,30 +315,8 @@ class TestProcessMirrorBack:
             trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
             assert trainer._pending_mirror is None
             iterations = trainer.history_.final.iterations
-            # Tasks per worker: one batched state setup, form + contract
-            # per iteration (2 each), one workspace drain.
-            expected = 1 + 2 * iterations + 1
-            for ex in trainer.shard_group_.executors:
-                assert ex.rpc_count == expected
-        finally:
-            trainer.close()
-
-    @needs_process
-    def test_serial_fit_one_roundtrip_per_step(self, small_dataset):
-        """With the pipeline off, form + contract are batched into a
-        single task (`_forward_task`) — exactly one RPC round-trip per
-        iteration per worker, plus the batched setup and the drain."""
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=BANDWIDTH),
-            n_shards=2,
-            transport="process",
-            device=titan_xp(),
-            pipeline=False,
-            **KW,
-        )
-        try:
-            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
-            iterations = trainer.history_.final.iterations
+            # Tasks per worker: one batched state setup, one forward
+            # task per iteration, one workspace drain.
             expected = 1 + iterations + 1
             for ex in trainer.shard_group_.executors:
                 assert ex.rpc_count == expected
@@ -389,12 +367,11 @@ class TestTorchDistCollective:
 
     @needs_torchdist
     def test_trainer_rpc_accounting(self, small_dataset):
-        """A pipelined torchdist fit's per-worker RPC traffic is exactly
-        setup + (form, fused contract+all-reduce) per iteration + drain:
-        the collective rides *inside* the contraction task
-        (`_fused_collective_task`), so each step costs two round-trips,
-        not three — and mirror-back stays a direct shared-memory write,
-        never a task."""
+        """A torchdist fit's per-worker RPC traffic is exactly setup +
+        one fused task per iteration + drain: form, contract *and* the
+        dist.all_reduce ride one task per rank
+        (`_fused_collective_task`) — and mirror-back stays a direct
+        shared-memory write, never a task."""
         trainer = ShardedEigenPro2(
             GaussianKernel(bandwidth=BANDWIDTH),
             n_shards=2,
@@ -405,28 +382,6 @@ class TestTorchDistCollective:
         try:
             trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
             assert trainer._pending_mirror is None
-            iterations = trainer.history_.final.iterations
-            expected = 1 + 2 * iterations + 1
-            for ex in trainer.shard_group_.executors:
-                assert ex.rpc_count == expected
-        finally:
-            trainer.close()
-
-    @needs_torchdist
-    def test_serial_fit_single_roundtrip_per_step(self, small_dataset):
-        """With the pipeline off, the whole step — form, contract *and*
-        the dist.all_reduce — is one fused task per rank: exactly one
-        RPC round-trip per iteration per worker, down from two."""
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=BANDWIDTH),
-            n_shards=2,
-            transport="torchdist",
-            device=titan_xp(),
-            pipeline=False,
-            **KW,
-        )
-        try:
-            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
             iterations = trainer.history_.final.iterations
             expected = 1 + iterations + 1
             for ex in trainer.shard_group_.executors:
@@ -697,7 +652,7 @@ class TestLifecycleUnderServing:
         with pytest.raises(ShardError, match="closed"):
             sharded_predict(group, x[:4])
         with pytest.raises(ShardError, match="closed"):
-            group.map_async(_read_weight_rows_task, np.array([0]))
+            group.transport.map_async(_read_weight_rows_task, np.array([0]))
 
     @transports
     def test_weight_access_after_close_raises_shard_error(

@@ -323,6 +323,27 @@ class TestProcessMirrorBack:
         finally:
             trainer.close()
 
+    @needs_process
+    def test_serial_fit_one_roundtrip_per_step(self, small_dataset):
+        """Form + contract are batched into a single task
+        (`_forward_task`) — exactly one RPC round-trip per iteration per
+        worker, over every epoch, plus the batched setup and the drain."""
+        trainer = ShardedEigenPro2(
+            GaussianKernel(bandwidth=BANDWIDTH),
+            n_shards=2,
+            transport="process",
+            device=titan_xp(),
+            **KW,
+        )
+        try:
+            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=2)
+            iterations = trainer.history_.final.iterations
+            expected = 1 + iterations + 1
+            for ex in trainer.shard_group_.executors:
+                assert ex.rpc_count == expected
+        finally:
+            trainer.close()
+
 
 class TestTorchDistCollective:
     """The torchdist-specific contract: the all-reduce is a *real*

@@ -195,6 +195,14 @@ class ArrayBackend(abc.ABC):
     def flip_columns(self, a: Any) -> Any:
         """Reverse the column order of a 2-D array."""
 
+    def take_columns(self, a: Any, idx: np.ndarray) -> Any:
+        """A copy of the columns ``idx`` of 2-D ``a``, bitwise ``a[:, idx]``.
+
+        Backends whose advanced indexing is slow override this with a
+        dedicated gather; the default is the indexing itself.
+        """
+        return a[:, idx]
+
     def top_eigh(self, a: Any, q: int) -> tuple[np.ndarray, Any]:
         """Top-``q`` eigenpairs of symmetric ``a``, eigenvalues *descending*.
 

@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend
+from repro.backend import backend_of, get_backend
 from repro.config import compute_dtype, mixed_precision_active
 from repro.core.acceleration import predicted_acceleration
 from repro.core.cost import exact_improved_overhead_ops
@@ -40,6 +40,7 @@ from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
 from repro.linalg.nystrom import NystromExtension, nystrom_extension
+from repro.observe.tracer import span
 
 __all__ = [
     "AutoParameters",
@@ -157,8 +158,11 @@ def select_parameters(
     if q is not None and q > q_cap:
         q_cap = min(int(q), s_eff - 1)
 
+    # Set-up spans: nystrom_extension records setup/kernel_ss and
+    # setup/eigensolve; setup/select_q and setup/beta are recorded here.
     extension = nystrom_extension(kernel, x, s_eff, q_cap, seed=seed)
-    beta_k = estimate_beta(kernel, x, seed=seed)
+    with span("setup/beta"):
+        beta_k = estimate_beta(kernel, x, seed=seed)
     lambda_1 = float(extension.operator_eigenvalues[0])
 
     # Step 1: resource-determined batch size.
@@ -166,20 +170,22 @@ def select_parameters(
     m_max = analysis.m_max
 
     # Step 2: kernel selection via Eq. 7 + the Appendix-B adjustment.
-    selection = select_q(extension, m_max)
-    q_eq7 = selection.q
-    if q is not None:
-        q_used = min(int(q), s_eff - 1)
-        if q_used < 0:
-            raise ConfigurationError(f"q must be >= 0, got {q}")
-    else:
-        q_used = adjusted_q(extension, q_eq7) if q_eq7 >= 1 else 0
+    with span("setup/select_q", m_max=m_max):
+        selection = select_q(extension, m_max)
+        q_eq7 = selection.q
+        if q is not None:
+            q_used = min(int(q), s_eff - 1)
+            if q_used < 0:
+                raise ConfigurationError(f"q must be >= 0, got {q}")
+        else:
+            q_used = adjusted_q(extension, q_eq7) if q_eq7 >= 1 else 0
 
     preconditioner = (
         NystromPreconditioner(extension, q_used) if q_used >= 2 else None
     )
     if preconditioner is not None:
-        beta_kg = preconditioner.beta_kg()
+        with span("setup/beta"):
+            beta_kg = preconditioner.beta_kg()
         lambda_q = preconditioner.lambda_top
     else:
         beta_kg = beta_k
@@ -363,9 +369,11 @@ class EigenPro2(BaseKernelTrainer):
     ) -> None:
         if self.preconditioner_ is None:
             return
-        # Columns of the already-computed batch block at the subsample
-        # indices give Phi^T for free (no new kernel evaluations).
-        phi_block = kb[:, self._sub_idx]
+        # Phi^T is the batch block's columns at the subsample indices: no
+        # new kernel evaluations, but an (m, s) copy.  On NumPy, advanced
+        # indexing makes that copy at about the cost of forming the block;
+        # take_columns gathers it with np.take instead.
+        phi_block = backend_of(kb).take_columns(kb, self._sub_idx)
         self._accumulate_correction(
             self.preconditioner_.correction(phi_block, g), gamma
         )

@@ -17,6 +17,11 @@ The two normalizations matter: the paper's Step-2 formula for
 ``beta(K_{P_q})`` uses the L2 normalization, while ``P_q`` itself uses the
 RKHS one; both are exposed here and consistency between them is tested
 property-style in ``tests/test_linalg_nystrom.py``.
+
+Parameter selection evaluates the projections ``K_s V`` of the subsample
+itself twice (the Eq.-7 scan and ``beta(K_G)``).  :func:`nystrom_extension`
+forms them once from the ``K_s`` block it already holds and keeps them on
+the extension, so neither evaluates another ``s x s`` kernel block.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from repro.config import EPS
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
 from repro.linalg.eigensystem import top_eigensystem
+from repro.observe.tracer import span
 
 __all__ = ["NystromExtension", "nystrom_extension"]
 
@@ -56,6 +62,10 @@ class NystromExtension:
     indices:
         Indices of the subsample within the original training set, or
         ``None`` when the points were supplied directly.
+    point_projections:
+        ``(s, q)`` projections ``K_s V`` of :attr:`points` themselves,
+        which :meth:`projections` returns for ``points`` instead of
+        evaluating ``K_s`` again; ``None`` when not known.
     """
 
     kernel: Kernel
@@ -63,6 +73,7 @@ class NystromExtension:
     eigvals: np.ndarray
     eigvecs: Any
     indices: np.ndarray | None = None
+    point_projections: Any | None = None
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2:
@@ -72,6 +83,14 @@ class NystromExtension:
         if tuple(self.eigvecs.shape) != (s, q):
             raise ConfigurationError(
                 f"eigvecs shape {tuple(self.eigvecs.shape)} inconsistent with "
+                f"s={s}, q={q}"
+            )
+        if self.point_projections is not None and tuple(
+            self.point_projections.shape
+        ) != (s, q):
+            raise ConfigurationError(
+                f"point_projections shape "
+                f"{tuple(self.point_projections.shape)} inconsistent with "
                 f"s={s}, q={q}"
             )
         eigvals = backend_of(self.eigvals).to_numpy(self.eigvals)
@@ -106,8 +125,17 @@ class NystromExtension:
 
         The stored eigenvectors are converted to the backend that produced
         ``phi(x)`` (the *active* one), so an extension built under one
-        backend can be queried under another.
+        backend can be queried under another.  For ``x is self.points``
+        the stored :attr:`point_projections` are returned, converted to
+        that same backend and dtype, without evaluating the kernel; when
+        no conversion is needed that is the stored array itself, so
+        callers must not write to it.
         """
+        if x is self.points and self.point_projections is not None:
+            bk = get_backend()
+            return bk.asarray(
+                self.point_projections, dtype=self.kernel._eval_dtype(x, x)
+            )
         phi = self.feature_map(x)
         bk = backend_of(phi)
         vecs = bk.asarray(self.eigvecs, dtype=bk.dtype_of(phi))
@@ -145,6 +173,10 @@ class NystromExtension:
             eigvals=self.eigvals[:q],
             eigvecs=self.eigvecs[:, :q],
             indices=self.indices,
+            # A column slice of K_s V is not bitwise K_s V[:, :q]: BLAS
+            # tiles a narrower product differently.  Only the full set of
+            # pairs keeps the stored projections.
+            point_projections=self.point_projections if q == self.q else None,
         )
 
 
@@ -203,14 +235,20 @@ def nystrom_extension(
         if np.unique(indices).size != s:
             raise ConfigurationError("subsample indices must be unique")
     points = x[indices]
-    k_s = kernel(points, points)
-    eigvals, eigvecs = top_eigensystem(k_s, q, method=method, seed=seed)
-    # Guard against tiny negative values from floating point round-off.
-    eigvals = np.maximum(eigvals, 0.0)
+    with span("setup/kernel_ss", s=s):
+        k_s = kernel(points, points)
+    with span("setup/eigensolve", s=s, q=q):
+        eigvals, eigvecs = top_eigensystem(k_s, q, method=method, seed=seed)
+        # Guard against tiny negative values from floating point round-off.
+        eigvals = np.maximum(eigvals, 0.0)
+        # K_s V exactly as projections(points) would form it from a fresh
+        # K_s: the same product on the same operands.
+        point_projections = k_s @ bk.asarray(eigvecs, dtype=bk.dtype_of(k_s))
     return NystromExtension(
         kernel=kernel,
         points=points,
         eigvals=eigvals,
         eigvecs=eigvecs,
         indices=indices,
+        point_projections=point_projections,
     )

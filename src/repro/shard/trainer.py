@@ -121,10 +121,9 @@ def _forward_task(
         local = worker.state.get("local_sub")
         if local is not None and local.size:
             # Columns of the batch block at this shard's subsample
-            # centers — advanced indexing copies, so the block scratch
-            # may be recycled (and the copy shipped cross-process)
-            # safely.
-            phi_i = kb[:, local]
+            # centers — a copy, so the block scratch may be recycled (and
+            # the copy shipped cross-process) safely.
+            phi_i = ebk.take_columns(kb, local)
     with span("gemm", m=m):
         w = worker.weights
         w_dtype = ebk.dtype_of(w)
@@ -304,7 +303,7 @@ class ShardedEigenPro2(EigenPro2):
         self._recoveries_used = 0
         self._steps_since_checkpoint = 0
         self._cursor = 0
-        self._sub_parts: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._phi_order: np.ndarray | None = None
         self._pending_mirror: PendingMap | None = None
         #: Open replay window after a recovery, for the tracer only:
         #: ``(resumed_step, failed_step, t0)``; closed (and recorded as
@@ -344,9 +343,18 @@ class ShardedEigenPro2(EigenPro2):
             self.shard_group_.close()
         self.shard_group_ = group
         self._pending_mirror = None
-        self._sub_parts = (
+        sub_parts = (
             group.plan.localize(self._sub_idx)
             if self.preconditioner_ is not None and self._sub_idx is not None
+            else None
+        )
+        # The shards return their Phi columns in executor order; one take
+        # through this inverse permutation puts them in subsample order.
+        self._phi_order = (
+            np.argsort(np.concatenate(
+                [sub_parts[ex.shard_id][0] for ex in group.executors]
+            ))
+            if sub_parts is not None
             else None
         )
         # Per-fit worker context: the kernel every form task evaluates,
@@ -354,8 +362,8 @@ class ShardedEigenPro2(EigenPro2):
         # — batched into a single task per worker, so message-passing
         # transports pay exactly one setup round-trip per fit.
         locals_ = (
-            [local for _, local in self._sub_parts]
-            if self._sub_parts is not None
+            [local for _, local in sub_parts]
+            if sub_parts is not None
             else [None] * group.g
         )
         group.scatter_state_items(
@@ -405,14 +413,14 @@ class ShardedEigenPro2(EigenPro2):
         g_res = f - y[idx]
         self._alpha[idx] -= gamma * g_res
         touched = [idx]
-        if self.preconditioner_ is not None and self._sub_parts is not None:
+        if self.preconditioner_ is not None and self._phi_order is not None:
             with span("correction", step=self._cursor, m=int(idx.shape[0])):
-                m, s = idx.shape[0], self._sub_idx.shape[0]
                 phi_np = [
-                    None if phi_i is None else np.asarray(to_numpy(phi_i))
+                    np.asarray(to_numpy(phi_i))
                     for phi_i in phi_parts
+                    if phi_i is not None
                 ]
-                shard_dtypes = [p.dtype for p in phi_np if p is not None]
+                shard_dtypes = [p.dtype for p in phi_np]
                 if mixed_precision_active() and shard_dtypes:
                     # The blocks (and with them the Phi columns) stayed in
                     # the compute dtype; hand the correction the same
@@ -421,11 +429,11 @@ class ShardedEigenPro2(EigenPro2):
                     phi_dtype = np.result_type(*shard_dtypes)
                 else:
                     phi_dtype = np.dtype(alpha_dtype)
-                phi = np.empty((m, s), dtype=phi_dtype)
-                for ex, phi_i in zip(group.executors, phi_np):
-                    positions, _ = self._sub_parts[ex.shard_id]
-                    if positions.size:
-                        phi[:, positions] = phi_i
+                phi = np.take(
+                    np.concatenate(phi_np, axis=1, dtype=phi_dtype),
+                    self._phi_order,
+                    axis=1,
+                )
                 correction = self.preconditioner_.correction(
                     phi, to_numpy(g_res)
                 )

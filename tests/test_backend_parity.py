@@ -413,6 +413,52 @@ class TestNumpyBackendContract:
         assert bk.empty((2, 2)).dtype == get_precision()
 
 
+class TestTakeColumns:
+    """``take_columns`` is bitwise ``a[:, idx]`` on every backend: NumPy
+    overrides it with ``np.take``, Torch keeps the base-class indexing."""
+
+    BACKENDS = ["numpy", pytest.param("torch", marks=requires_torch)]
+
+    @staticmethod
+    def _both(backend_name, a, idx):
+        def run():
+            bk = get_backend()
+            native = bk.asarray(a)
+            return bk.take_columns(native, idx), native[:, idx]
+
+        return run_on(backend_name, run)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_empty_index(self, backend_name):
+        a = np.arange(12.0).reshape(3, 4)
+        got, want = self._both(backend_name, a, np.array([], dtype=np.intp))
+        assert got.shape == want.shape == (3, 0)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_float32_permuted_with_repeats(self, backend_name):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 30)).astype(np.float32)
+        idx = np.concatenate([rng.permutation(30)[:20], [4, 4]])
+        got, want = self._both(backend_name, a, idx)
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_non_contiguous_input(self, backend_name):
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((20, 40))
+        idx = rng.permutation(13)[:7]
+        for a in (base[::2, ::3], base.T[:, :13], base[:, 5:18]):
+            got, want = self._both(backend_name, a, idx)
+            np.testing.assert_array_equal(got, want)
+
+    def test_numpy_result_is_a_contiguous_copy(self):
+        a = np.random.default_rng(5).standard_normal((6, 8))
+        got = resolve_backend("numpy").take_columns(a, np.array([1, 0, 7]))
+        assert got.flags["C_CONTIGUOUS"]
+        assert not np.shares_memory(got, a)
+
+
 class TestPrecisionSwitch:
     def test_float32_inputs_not_promoted(self, xz):
         """The historical bug: float32 inputs silently upcast to float64."""

@@ -1,10 +1,13 @@
 """Tests for the EigenPro 2.0 trainer and its automatic parameter selection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.config import use_precision
+from repro.core import eigenpro2
 from repro.core.eigenpro2 import (
     EigenPro2,
     default_q_max,
@@ -13,8 +16,10 @@ from repro.core.eigenpro2 import (
 )
 from repro.device import DeviceSpec, SimulatedDevice, titan_xp
 from repro.exceptions import ConfigurationError
+from repro.data import get_dataset
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
+from repro.observe import Tracer, trace_scope
 
 
 class TestDefaults:
@@ -201,3 +206,90 @@ class TestEigenPro2Training:
         assert pred.shape == (ds.n_test, ds.l)
         labels = model.predict_labels(ds.x_test)
         assert labels.shape == (ds.n_test,)
+
+
+class TestSetupReuse:
+    """Parameter selection forms the ``s x s`` subsample block once and
+    reuses its projections ``K_s V`` for the Eq.-7 scan and ``beta(K_G)``,
+    without changing a bit of the result."""
+
+    @pytest.fixture(scope="class")
+    def mnist(self):
+        return get_dataset("mnist", n_train=400, n_test=10, seed=0)
+
+    def test_one_subsample_block(self, mnist):
+        """With ``s = n = 400`` and ``d = 784`` the pass evaluates:
+
+        - ``nystrom_extension``: ``K_s``, ``s * s * d`` kernel ops;
+        - ``estimate_beta``: nothing (the Laplacian kernel is normalized);
+        - ``select_q`` -> ``beta_pq_table``: ``kernel.diag`` (records no
+          ops) and the stored projections of the subsample;
+        - ``beta_kg`` -> ``modified_diag``: the same, on the preconditioner's
+          extension, which keeps the stored projections because the
+          selected ``q`` is all ``Q`` extracted pairs.
+
+        Total: exactly ``s * s * d``.  Re-evaluating ``K_s`` for each
+        projection would record it three times.
+        """
+        x = mnist.x_train
+        n, d = x.shape
+        with meter_scope() as meter:
+            params, precond, ext = select_parameters(
+                LaplacianKernel(bandwidth=10.0), x, mnist.l, titan_xp(), seed=0
+            )
+        assert params.s == n
+        assert params.q_adjusted == ext.q  # no truncation: both reuses apply
+        assert meter.total("kernel_eval") == n * n * d
+        assert precond.extension.point_projections is ext.point_projections
+
+    def test_setup_spans(self, mnist):
+        tracer = Tracer()
+        with trace_scope(tracer):
+            select_parameters(
+                LaplacianKernel(bandwidth=10.0), mnist.x_train, mnist.l,
+                titan_xp(), seed=0,
+            )
+        counts = tracer.counts()
+        assert counts["setup/kernel_ss"] == 1
+        assert counts["setup/eigensolve"] == 1
+        assert counts["setup/select_q"] == 1
+        # beta(K) and beta(K_G).
+        assert counts["setup/beta"] == 2
+
+    @pytest.mark.parametrize(
+        "q, precision",
+        [(None, "float64"), (50, "float64"), (None, "mixed")],
+        ids=["auto", "q50", "auto-mixed"],
+    )
+    def test_cached_and_uncached_fits_bitwise(
+        self, mnist, monkeypatch, q, precision
+    ):
+        """``params_`` and the 2-epoch weights are bitwise equal whether
+        or not the extension carries its subsample projections.  ``q=50``
+        truncates the extension, so ``beta(K_G)`` evaluates ``K_s`` again
+        while the Eq.-7 scan still reuses it."""
+
+        def fit():
+            model = EigenPro2(LaplacianKernel(bandwidth=10.0), q=q, seed=0)
+            with use_precision(precision):
+                model.fit(mnist.x_train, mnist.y_train, epochs=2)
+            return model
+
+        cached = fit()
+        build = eigenpro2.nystrom_extension
+        monkeypatch.setattr(
+            eigenpro2,
+            "nystrom_extension",
+            lambda *a, **kw: dataclasses.replace(
+                build(*a, **kw), point_projections=None
+            ),
+        )
+        uncached = fit()
+        assert uncached.preconditioner_.extension.point_projections is None
+        assert cached.params_ == uncached.params_
+        np.testing.assert_array_equal(
+            cached.model_.weights, uncached.model_.weights
+        )
+        assert cached.history_.series("train_mse") == uncached.history_.series(
+            "train_mse"
+        )

@@ -1,9 +1,15 @@
 """Tests for the Nyström extension — the core approximation of Section 4."""
 
+import dataclasses
+import importlib.util
+
 import numpy as np
 import pytest
 
+from repro.backend import get_backend, to_numpy, use_backend
+from repro.config import use_precision
 from repro.exceptions import ConfigurationError
+from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.linalg import NystromExtension, nystrom_extension, top_eigensystem
 
@@ -133,6 +139,96 @@ class TestTruncation:
             ext.truncated(0)
         with pytest.raises(ConfigurationError):
             ext.truncated(11)
+
+
+def _uncached(ext):
+    """The same extension without its stored subsample projections."""
+    return dataclasses.replace(ext, point_projections=None)
+
+
+class TestPointProjections:
+    """``projections(points)`` returns the ``K_s V`` that
+    :func:`nystrom_extension` formed, bitwise equal to evaluating it."""
+
+    BACKENDS = [
+        "numpy",
+        pytest.param(
+            "torch",
+            marks=pytest.mark.skipif(
+                importlib.util.find_spec("torch") is None,
+                reason="torch not installed",
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("precision", ["float64", "float32", "mixed"])
+    def test_cached_matches_uncached_bitwise(
+        self, gauss_data, backend_name, precision
+    ):
+        kernel, x = gauss_data
+        with use_backend(backend_name), use_precision(precision):
+            ext = nystrom_extension(kernel, x, 80, 12, seed=0)
+            for q in (12, 7, 2):
+                t = ext.truncated(q)
+                cached = t.projections(t.points)
+                uncached = _uncached(t).projections(t.points)
+                bk = get_backend()
+                assert bk.dtype_of(cached) == bk.dtype_of(uncached)
+                np.testing.assert_array_equal(
+                    to_numpy(cached), to_numpy(uncached)
+                )
+
+    def test_no_kernel_evaluation_on_points(self, gauss_data):
+        kernel, x = gauss_data
+        ext = nystrom_extension(kernel, x, 60, 8, seed=0)
+        with meter_scope() as meter:
+            ext.projections(ext.points)
+        assert meter.total("kernel_eval") == 0
+        # Equal values that are not the extension's points go the
+        # evaluating way.
+        with meter_scope() as meter:
+            ext.projections(ext.points.copy())
+        assert meter.total("kernel_eval") == 60 * 60 * x.shape[1]
+
+    def test_truncation_keeps_projections_only_for_all_pairs(self, gauss_data):
+        """A column slice of ``K_s V`` differs in the last bits from
+        ``K_s V[:, :q]`` (BLAS tiles the narrower product differently), so
+        only ``truncated(Q)`` may keep the stored projections."""
+        kernel, x = gauss_data
+        ext = nystrom_extension(kernel, x, 50, 10, seed=0)
+        assert ext.point_projections.shape == (50, 10)
+        assert ext.truncated(10).point_projections is ext.point_projections
+        assert ext.truncated(4).point_projections is None
+
+    def test_queried_under_another_precision(self, gauss_data):
+        """Built in float64, read in float32: the stored projections come
+        back in the dtype the evaluating branch would produce.
+
+        Bound: the stored value is the float64 product rounded once, off
+        by at most ``u |P|`` (``u = 2**-24``).  The evaluating branch
+        forms ``K_s`` in float32 (each entry within a few ulps, allow 4)
+        and sums ``s`` float32 products, off by at most
+        ``(s + 4 + 1) u (|K_s| @ |V|)``.  Their difference is within the
+        sum, ``(s + 6) u (|K_s| @ |V|)``.
+        """
+        kernel, x = gauss_data
+        s = 40
+        ext = nystrom_extension(kernel, x, s, 5, seed=0)
+        with use_precision("float32"):
+            cached = ext.projections(ext.points)
+            uncached = _uncached(ext).projections(ext.points)
+        assert cached.dtype == uncached.dtype == np.float32
+        u = np.finfo(np.float32).eps / 2
+        scale = np.abs(kernel(ext.points, ext.points)) @ np.abs(ext.eigvecs)
+        diff = np.abs(cached.astype(np.float64) - uncached)
+        assert np.all(diff <= (s + 6) * u * scale)
+
+    def test_rejects_inconsistent_projections(self, gauss_data):
+        kernel, x = gauss_data
+        ext = nystrom_extension(kernel, x, 20, 4, seed=0)
+        with pytest.raises(ConfigurationError, match="point_projections"):
+            dataclasses.replace(ext, point_projections=np.zeros((20, 3)))
 
 
 class TestValidation:

@@ -78,6 +78,7 @@ __all__ = [
     "TorchBackend",
     "available_backends",
     "backend_of",
+    "checked_rows",
     "get_backend",
     "match_dtype",
     "numeric_rows",
@@ -229,6 +230,33 @@ def numeric_rows(rows: Any) -> Any:
         raise ConfigurationError(
             f"rows must be bool, integer or float, got dtype {dtype}"
         )
+    return rows
+
+
+def checked_rows(
+    rows: Any, n_features: int | None = None, name: str = "x"
+) -> Any:
+    """``rows`` under the one input contract of ``fit()``, ``predict``
+    and serving: :func:`numeric_rows` elements, a ``(b, d)`` matrix (one
+    ``(d,)`` sample becomes a ``(1, d)`` row), ``n_features`` columns
+    when given, and every value finite.
+
+    Returns the 2-D rows on their own backend; raises
+    :class:`ConfigurationError` naming ``name`` otherwise.
+    """
+    rows = numeric_rows(rows)
+    bk = backend_of(rows)
+    rows = bk.as_2d(rows)
+    if rows.ndim != 2:
+        raise ConfigurationError(
+            f"{name} must be (b, d) or (d,), got shape {tuple(rows.shape)}"
+        )
+    if n_features is not None and rows.shape[1] != n_features:
+        raise ConfigurationError(
+            f"{name} has {rows.shape[1]} features, model expects {n_features}"
+        )
+    if not bk.all_finite(rows):
+        raise ConfigurationError(f"{name} contains non-finite values")
     return rows
 
 

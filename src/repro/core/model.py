@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import backend_of, to_numpy
+from repro.backend import backend_of, checked_rows, to_numpy
 from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
@@ -89,7 +89,10 @@ class KernelModel:
         self, x: Any, max_scalars: int = DEFAULT_BLOCK_SCALARS
     ) -> Any:
         """Evaluate ``f(x)`` for each row of ``x``; shape ``(n_x, l)``,
-        native to the active backend."""
+        native to the active backend.  ``x`` must meet the input
+        contract ``fit()`` and serving apply
+        (:func:`~repro.backend.checked_rows`)."""
+        x = checked_rows(x, self.centers.shape[1])
         return kernel_matvec(
             self.kernel, x, self.centers, self.weights, max_scalars=max_scalars
         )

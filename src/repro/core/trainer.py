@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, match_dtype, numeric_rows
+from repro.backend import checked_rows, get_backend, match_dtype, numeric_rows
 from repro.config import (
     DEFAULT_BLOCK_SCALARS,
     accumulate_dtype,
@@ -281,11 +281,9 @@ class BaseKernelTrainer:
             if mixed_precision_active()
             else dtype
         )
-        x = bk.ascontiguous(bk.as_2d(bk.asarray(x, dtype=dtype)))
-        if x.ndim != 2:
-            raise ConfigurationError(
-                f"x must be 2-D (n, d), got shape {tuple(x.shape)}"
-            )
+        # Checked after the cast, so a value that overflows the working
+        # dtype is caught as non-finite.
+        x = bk.ascontiguous(checked_rows(bk.asarray(x, dtype=dtype)))
         y = bk.asarray(y, dtype=master_dtype)
         if y.ndim == 1:
             y = y[:, None]
@@ -293,8 +291,6 @@ class BaseKernelTrainer:
             raise ConfigurationError(
                 f"x has {x.shape[0]} rows but y has {y.shape[0]}"
             )
-        if not bk.all_finite(x):
-            raise ConfigurationError("x contains non-finite values")
         if not bk.all_finite(y):
             raise ConfigurationError("y contains non-finite values")
         if epochs < 1:

@@ -59,7 +59,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, numeric_rows, to_numpy
+from repro.backend import checked_rows, get_backend, numeric_rows, to_numpy
 from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.exceptions import ConfigurationError, DeadlineExceeded, ShardError
 from repro.instrument import OpMeter, meter_scope
@@ -156,13 +156,13 @@ class ServeOptions:
         there means defaults.
     pipeline_depth:
         Ticks in flight at once.  The default ``2`` double-buffers the
-        serving loop like the sharded training engine: the workers
-        compute tick ``t`` while the dispatcher scatters ``t - 1``'s
-        rows, callers wake, and the queue refills — so worker compute,
-        host scatter and client turnaround overlap instead of
-        serialising.  Each shard's executor runs its tasks FIFO, so
-        in-flight ticks never run concurrently *on a worker* and the
-        per-worker scratch discipline is untouched.  ``1`` restores the
+        serving loop: the workers compute tick ``t`` while the
+        dispatcher scatters ``t - 1``'s rows, callers wake, and the
+        queue refills — so worker compute, host scatter and client
+        turnaround overlap instead of serialising.  Each shard's
+        executor runs its tasks FIFO, so in-flight ticks never run
+        concurrently *on a worker* and the per-worker scratch
+        discipline is untouched.  ``1`` restores the
         strictly serial launch-harvest-launch loop (lowest latency
         jitter, idle workers during scatter).
     max_batch_rows:
@@ -458,21 +458,9 @@ class ModelServer:
         return x if isinstance(x, PredictRequest) else PredictRequest(rows=x)
 
     def _enqueue(self, request: PredictRequest, wants_response: bool) -> Future:
-        x_host = to_numpy(numeric_rows(request.rows))
-        squeeze = x_host.ndim == 1
-        if squeeze:
-            x_host = x_host[None, :]
-        if x_host.ndim != 2:
-            raise ConfigurationError(
-                f"request must be (b, d) or (d,), got shape {x_host.shape}"
-            )
-        if x_host.shape[1] != self._d:
-            raise ConfigurationError(
-                f"request has {x_host.shape[1]} features, model expects "
-                f"{self._d}"
-            )
-        if not np.isfinite(x_host).all():
-            raise ConfigurationError("x contains non-finite values")
+        rows = numeric_rows(request.rows)
+        squeeze = rows.ndim == 1
+        x_host = to_numpy(checked_rows(rows, self._d, name="request"))
         now = time.perf_counter()
         req = _Request(
             x=x_host,

@@ -16,8 +16,10 @@ cross-transport conformance suite
 ``tests/test_shard_transport_conformance.py``):
 
 - every operation a worker performs is recorded on its private meter
-  (workers have no ambient meters), and each submitted task captures its
-  own op-count delta *on the worker*; :meth:`ShardGroup.map` /
+  (workers have no ambient meters), and each submitted task runs under
+  the submitter's :class:`~repro.shard.transport.ExecContext` (its
+  precision and tracing flag), which captures the task's own op-count
+  delta *on the worker*; :meth:`ShardGroup.map` /
   :meth:`~repro.shard.transport.PendingMap.result` relay those deltas to
   the meters active on the *calling* thread — so a metered sharded
   computation reports exactly the op counts of its unsharded
@@ -49,9 +51,10 @@ When a :class:`repro.observe.Tracer` is active on the calling thread
 bracketed by wall-clock spans recorded by the transport layer:
 caller-side ``submit``/``allreduce``/``mirror``/``gather``/
 ``scatter_state`` spans, plus worker-side spans (``form_block``,
-``gemm``, stamped with ``shard=<id>``) that ride the same metered-reply
-path as the op-count deltas — :meth:`~repro.shard.transport.PendingMap.
-result` relays both to the calling thread.  Tracing is opt-in and
+``gemm``, stamped with ``shard=<id>``) that ride the same
+:class:`~repro.shard.transport.ExecContext` reply as the op-count
+deltas — :meth:`~repro.shard.transport.PendingMap.result` relays both
+to the calling thread.  Tracing is opt-in and
 ambient: with no active tracer the transports send byte-identical
 messages and record nothing, so the conformance suite's RPC and
 op-count pins hold unchanged.

@@ -3,7 +3,8 @@
 The :class:`~repro.shard.transport.base.ShardTransport` interface splits
 *what a shard does* (the task functions of :mod:`repro.shard.trainer` /
 :mod:`repro.shard.ops`, executed against a
-:class:`~repro.shard.transport.base.ShardWorker`) from *where it runs*:
+:class:`~repro.shard.transport.base.ShardWorker` under the caller's
+:class:`~repro.shard.transport.base.ExecContext`) from *where it runs*:
 
 - :class:`~repro.shard.transport.thread.ThreadTransport` — in-process
   worker threads, zero-copy weight views; the "network" is a host
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from repro.exceptions import ConfigurationError
 from repro.shard.transport.base import (
+    ExecContext,
     PendingMap,
     PendingReduce,
     ShardTransport,
@@ -60,6 +62,7 @@ from repro.shard.transport.torchdist import (
 )
 
 __all__ = [
+    "ExecContext",
     "PendingMap",
     "PendingReduce",
     "ProcessShardExecutor",

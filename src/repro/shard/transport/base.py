@@ -10,6 +10,11 @@ two halves:
   :class:`~repro.backend.ArrayBackend` instance, the precomputed center
   squared norms, a private :class:`~repro.instrument.OpMeter` and a
   ``state`` dict for per-fit context (the kernel, subsample indices).
+- :class:`ExecContext` — the caller's thread-local scopes (explicit
+  precision, whether tracing is on), captured once per submitted task
+  and re-entered around it on the worker.  Its :meth:`ExecContext.run`
+  returns the one reply shape every executor's ``submit`` resolves to:
+  ``(result, op_delta)``, plus the task's spans when traced.
 - :class:`ShardTransport` — the caller-side engine that owns ``g``
   workers and moves work and data to them: ``submit``/``map_async``
   (queue a task on every shard's FIFO worker), ``allreduce`` (combine
@@ -42,12 +47,14 @@ from __future__ import annotations
 import abc
 import contextlib
 from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.backend import (
     ArrayBackend,
+    current_precision,
     get_backend,
     to_numpy,
     use_backend,
@@ -57,10 +64,11 @@ from repro.config import Precision, accumulate_dtype, mixed_precision_active
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import OpMeter, meter_scope, record_ops, relay_op_counts
 from repro.kernels.ops import block_workspace
-from repro.observe.tracer import Tracer, relay_spans, span, trace_scope
+from repro.observe.tracer import Tracer, relay_spans, span, trace_scope, tracing_active
 from repro.shard.plan import ShardPlan
 
 __all__ = [
+    "ExecContext",
     "PendingMap",
     "PendingReduce",
     "ShardTransport",
@@ -106,7 +114,8 @@ def allreduce_sum(partials: Sequence[Any], bk: ArrayBackend | None = None) -> An
 
 
 class ShardWorker:
-    """Worker-side state and execution scope of one shard.
+    """Worker-side state of one shard (tasks run against it under an
+    :class:`ExecContext`).
 
     Lives wherever the shard runs: for the thread transport this *is* the
     executor object; for the process transport one instance is built
@@ -184,82 +193,6 @@ class ShardWorker:
             scalars += w.shape[0] * (w.shape[1] if w.ndim == 2 else 1)
         return int(scalars)
 
-    # ------------------------------------------------------------ execution
-    def run(
-        self,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        kwargs: dict | None = None,
-        precision: Precision | np.dtype | None = None,
-        tracer: Tracer | None = None,
-    ) -> Any:
-        """Run ``fn(self, *args, **kwargs)`` under this shard's backend
-        scope, the caller's explicit precision (if any) and this shard's
-        private meter.  The precision is re-established here because the
-        caller's :func:`~repro.config.use_precision` scope is
-        thread-local — the sharded computation must honor the same
-        working dtype as its unsharded equivalent.  When the caller had
-        tracing enabled at submit time, ``tracer`` re-establishes a span
-        scope the same way (worker threads/processes carry no ambient
-        tracers)."""
-        scope = (
-            use_precision(precision)
-            if precision is not None
-            else contextlib.nullcontext()
-        )
-        tscope = (
-            trace_scope(tracer)
-            if tracer is not None
-            else contextlib.nullcontext()
-        )
-        with scope, use_backend(self.backend), meter_scope(self.meter), tscope:
-            try:
-                return fn(self, *args, **(kwargs or {}))
-            finally:
-                self.workspace_peak = max(
-                    self.workspace_peak, block_workspace().peak_scalars
-                )
-
-    def run_metered(
-        self,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        kwargs: dict | None = None,
-        precision: Precision | np.dtype | None = None,
-        trace: bool = False,
-    ) -> tuple[Any, ...]:
-        """Like :meth:`run`, but returns ``(result, op_delta)`` where
-        ``op_delta`` is exactly the ops ``fn`` recorded on this shard's
-        meter — the relay payload of :class:`PendingMap`.
-
-        With ``trace=True`` (the caller had a tracer active at submit
-        time) the task runs under a private per-task tracer and the
-        return value grows a third element: the task's completed spans
-        in plain-dict form, each stamped with this ``shard_id`` — ready
-        to cross a process pipe and be relayed caller-side next to the
-        op-count delta.  The untraced return shape is unchanged, so
-        tracing cannot perturb the metered-reply contract it rides.
-        """
-        before = self.meter.as_dict()
-        if trace:
-            tracer = Tracer()
-            result = self.run(fn, args, kwargs, precision, tracer)
-        else:
-            result = self.run(fn, args, kwargs, precision)
-        delta = {
-            category: ops - before.get(category, 0)
-            for category, ops in self.meter.as_dict().items()
-        }
-        delta = {c: d for c, d in delta.items() if d}
-        if not trace:
-            return result, delta
-        spans = []
-        for ev in tracer.events:
-            payload = ev.as_dict()
-            payload["attrs"].setdefault("shard", self.shard_id)
-            spans.append(payload)
-        return result, delta, spans
-
     def drain_workspace(self) -> None:
         """Fold the pooled scratch high-water mark into
         :attr:`workspace_peak` and drop the buffers (must run on the
@@ -267,6 +200,73 @@ class ShardWorker:
         ws = block_workspace()
         self.workspace_peak = max(self.workspace_peak, ws.peak_scalars)
         ws.reset()
+
+
+@dataclass(frozen=True)
+class ExecContext:
+    """The caller's thread-local scopes, carried to a shard worker.
+
+    Worker threads and processes have no ambient precision or tracer, so
+    each task carries its submitter's explicit
+    :func:`~repro.config.use_precision` spec (the sharded computation
+    honours the working dtype of its unsharded equivalent) and whether a
+    tracer was active.  :meth:`capture` is the one place a transport
+    reads them, :meth:`run` the one place a worker re-enters them.
+    """
+
+    precision: Precision | np.dtype | None = None
+    trace: bool = False
+
+    @classmethod
+    def capture(cls) -> "ExecContext":
+        """The calling thread's scopes, taken at submit time."""
+        return cls(current_precision(), tracing_active())
+
+    def run(
+        self,
+        worker: ShardWorker,
+        fn: Callable[..., Any],
+        args: tuple = (),
+        kwargs: dict | None = None,
+    ) -> tuple[Any, ...]:
+        """Run ``fn(worker, *args, **kwargs)`` under this context's
+        precision, the worker's backend and meter and, when tracing, a
+        private per-task tracer.
+
+        Returns ``(result, op_delta)``: ``op_delta`` is exactly the ops
+        ``fn`` recorded on the worker's meter, the relay payload of
+        :class:`PendingMap`.  A traced task appends its spans in
+        plain-dict form, each stamped with the worker's ``shard_id``, so
+        they can cross a process pipe next to the delta.
+        """
+        before = worker.meter.as_dict()
+        tracer = Tracer() if self.trace else None
+        with contextlib.ExitStack() as scopes:
+            if self.precision is not None:
+                scopes.enter_context(use_precision(self.precision))
+            scopes.enter_context(use_backend(worker.backend))
+            scopes.enter_context(meter_scope(worker.meter))
+            if tracer is not None:
+                scopes.enter_context(trace_scope(tracer))
+            try:
+                result = fn(worker, *args, **(kwargs or {}))
+            finally:
+                worker.workspace_peak = max(
+                    worker.workspace_peak, block_workspace().peak_scalars
+                )
+        delta = {
+            category: ops - before.get(category, 0)
+            for category, ops in worker.meter.as_dict().items()
+        }
+        delta = {c: d for c, d in delta.items() if d}
+        if tracer is None:
+            return result, delta
+        spans = []
+        for ev in tracer.events:
+            payload = ev.as_dict()
+            payload["attrs"].setdefault("shard", worker.shard_id)
+            spans.append(payload)
+        return result, delta, spans
 
 
 class PendingMap:
@@ -430,8 +430,8 @@ class ShardTransport(abc.ABC):
     #: Caller-side executor handles, one per shard, in shard order.  Their
     #: concrete type is transport-specific but all expose ``shard_id``,
     #: ``n_centers``, ``resident_scalars``, ``workspace_peak``,
-    #: ``weights`` (host-visible or None), ``weights_is_view`` and
-    #: ``submit``/``submit_metered``.
+    #: ``weights`` (host-visible or None), ``weights_is_view`` and a
+    #: ``submit`` resolving to the :meth:`ExecContext.run` reply.
     executors: list
     #: Latched by :meth:`close`.  Submitting work after close is an
     #: engine-lifecycle failure (:class:`~repro.exceptions.ShardError`),
@@ -501,10 +501,22 @@ class ShardTransport(abc.ABC):
 
     def submit(self, shard_id: int, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         """Queue ``fn(worker, *args, **kwargs)`` on one shard's worker;
-        the future resolves to the task's result."""
+        the future resolves to the task's bare result (its op delta and
+        spans stay on the shard — :meth:`map_async` relays them)."""
         self._require_serving()
         with span("submit", transport=self.name, to_shard=shard_id):
-            return self.executors[shard_id].submit(fn, *args, **kwargs)
+            reply = self.executors[shard_id].submit(fn, *args, **kwargs)
+        result: Future = Future()
+
+        def unwrap(done: Future) -> None:
+            exc = done.exception()
+            if exc is None:
+                result.set_result(done.result()[0])
+            else:
+                result.set_exception(exc)
+
+        reply.add_done_callback(unwrap)
+        return result
 
     def map_async(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> PendingMap:
         """Queue ``fn(worker, *args, **kwargs)`` on every shard *without
@@ -512,7 +524,7 @@ class ShardTransport(abc.ABC):
         (and where) the values are consumed."""
         self._require_serving()
         return PendingMap(
-            [ex.submit_metered(fn, *args, **kwargs) for ex in self.executors]
+            [ex.submit(fn, *args, **kwargs) for ex in self.executors]
         )
 
     def map(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:

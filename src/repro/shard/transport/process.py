@@ -19,7 +19,11 @@ Architecture
   tasks queue in the parent thread's FIFO (never in the pipe), so the
   per-worker FIFO ordering contract of
   :class:`~repro.shard.transport.base.ShardTransport` holds and
-  ``map_async`` never blocks on pipe capacity.  Tasks and results are
+  ``map_async`` never blocks on pipe capacity.  Each message is ``(fn,
+  args, kwargs, precision, trace)`` — the task plus the fields of the
+  caller's :class:`~repro.shard.transport.base.ExecContext`, from which
+  the child rebuilds the context — and each reply carries the task's
+  op-count delta (and spans, when traced).  Tasks and results are
   pickled: submitted callables must be module-level functions (all the
   library's tasks are).
 - **Asynchronous mirror-back.**  Because the weight rows live in shared
@@ -62,16 +66,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    current_precision,
-    resolve_backend,
-)
+from repro.backend import ArrayBackend, NumpyBackend, resolve_backend
 from repro.exceptions import ConfigurationError, ShardError
-from repro.observe.tracer import span, tracing_active
+from repro.observe.tracer import span
 from repro.shard.plan import ShardPlan
-from repro.shard.transport.base import ShardTransport, ShardWorker
+from repro.shard.transport.base import ExecContext, ShardTransport, ShardWorker
 
 __all__ = [
     "ProcessShardExecutor",
@@ -214,12 +213,11 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
                 # when the parent had tracing enabled at submit time; the
                 # stats tuple always rides last, so the parent parses the
                 # reply the same way in both shapes.
-                metered = worker.run_metered(
-                    fn, args, kwargs, precision, trace
-                )
                 reply = (
                     "ok",
-                    *metered,
+                    *ExecContext(precision, trace).run(
+                        worker, fn, args, kwargs
+                    ),
                     (worker.meter.as_dict(), worker.workspace_peak),
                 )
             except (KeyboardInterrupt, SystemExit):
@@ -278,8 +276,8 @@ class ProcessShardExecutor:
     """Parent-side handle of one worker process.
 
     Exposes the same executor surface as the thread transport's
-    :class:`~repro.shard.transport.thread.ShardExecutor` — ``submit`` /
-    ``submit_metered`` with FIFO ordering, geometry and accounting
+    :class:`~repro.shard.transport.thread.ShardExecutor` — a FIFO
+    ``submit`` resolving to the metered reply, geometry and accounting
     attributes — but the shard's arithmetic runs in the child.
     ``centers`` and ``weights`` here are the parent's shared-memory views
     of the child's rows (writes to ``weights`` are how the transport
@@ -316,17 +314,9 @@ class ProcessShardExecutor:
         )
 
     # ------------------------------------------------------------- geometry
-    @property
-    def n_centers(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def resident_scalars(self) -> int:
-        scalars = self.centers.shape[0] * self.centers.shape[1]
-        if self.weights is not None:
-            w = self.weights
-            scalars += w.shape[0] * (w.shape[1] if w.ndim == 2 else 1)
-        return int(scalars)
+    # The child's worker geometry, read from the parent's shared views.
+    n_centers = ShardWorker.n_centers
+    resident_scalars = ShardWorker.resident_scalars
 
     # ------------------------------------------------------------ execution
     def _require_open(self) -> ThreadPoolExecutor:
@@ -337,26 +327,26 @@ class ProcessShardExecutor:
             )
         return self._pool
 
-    def _rpc_metered(
+    def _rpc(
         self,
         fn: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-        precision: np.dtype | None,
-        trace: bool = False,
+        ctx: ExecContext,
     ) -> tuple[Any, ...]:
         """One task round-trip; runs on this executor's dedicated parent
         thread, so the pipe carries at most one in-flight task and FIFO
-        order is the thread pool's queue order.  Returns ``(result,
-        op_delta)``, or ``(result, op_delta, spans)`` when ``trace`` —
-        the worker-side span payloads ride the same reply as the delta,
-        never an extra RPC."""
+        order is the thread pool's queue order.  The message is ``(fn,
+        args, kwargs, precision, trace)``, from which the child rebuilds
+        ``ctx``; the reply is the child's :meth:`ExecContext.run` tuple —
+        worker-side spans ride the same reply as the delta, never an
+        extra RPC."""
         if self._dead is not None:
             raise ShardError(
                 f"shard {self.shard_id} worker is unavailable: {self._dead}"
             )
         try:
-            self._conn.send((fn, args, kwargs, precision, trace))
+            self._conn.send((fn, args, kwargs, ctx.precision, ctx.trace))
             reply = self._conn.recv()
         except (EOFError, OSError, BrokenPipeError) as exc:
             self._dead = (
@@ -379,26 +369,11 @@ class ProcessShardExecutor:
         return tuple(reply[1:-1])
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
-        """Queue ``fn(worker, *args, **kwargs)`` for the child; the
-        future resolves to the task's result."""
+        """Queue ``fn(worker, *args, **kwargs)`` for the child under the
+        caller's :class:`ExecContext`; the future resolves to the reply
+        the child's :meth:`ExecContext.run` produced."""
         pool = self._require_open()
-        precision = current_precision()
-        return pool.submit(
-            lambda: self._rpc_metered(fn, args, kwargs, precision)[0]
-        )
-
-    def submit_metered(
-        self, fn: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Future:
-        """Like :meth:`submit`, but the future resolves to
-        ``(result, op_delta)`` with the delta captured in the child —
-        plus the child-side spans when the caller has tracing enabled
-        (captured here, next to the ambient precision)."""
-        pool = self._require_open()
-        precision = current_precision()
-        return pool.submit(
-            self._rpc_metered, fn, args, kwargs, precision, tracing_active()
-        )
+        return pool.submit(self._rpc, fn, args, kwargs, ExecContext.capture())
 
     # ------------------------------------------------------------- liveness
     def alive(self) -> bool:

@@ -1,11 +1,13 @@
 """Thread-backed shard transport — shards as in-process worker threads.
 
 Each :class:`ShardExecutor` is a :class:`~repro.shard.transport.base.
-ShardWorker` (the shard's arrays, meter and execution scopes) fused with
-a dedicated single-thread FIFO pool, so worker-side state and the
-caller-side handle are the same object.  The "network" of this transport
-is a host memcpy: NumPy shards adopt zero-copy views of the caller's
-weight rows (mirror-back is the identity), device-backed shards
+ShardWorker` (the shard's arrays and meter) fused with a dedicated
+single-thread FIFO pool, so worker-side state and the caller-side handle
+are the same object.  ``submit`` captures the caller's
+:class:`~repro.shard.transport.base.ExecContext` and runs the task under
+it on the pool thread.  The "network" of this transport is a host
+memcpy: NumPy shards adopt zero-copy views of the caller's weight rows
+(mirror-back is the identity), device-backed shards
 (``torch:cuda:<i>``) hold device copies that the transport mirrors with
 queued row pushes.  Because every executor runs one FIFO worker thread,
 the per-thread :class:`~repro.kernels.ops.BlockWorkspace` high-water
@@ -20,17 +22,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    current_precision,
-    resolve_backend,
-    to_numpy,
-)
+from repro.backend import ArrayBackend, NumpyBackend, resolve_backend, to_numpy
 from repro.exceptions import ConfigurationError, ShardError
-from repro.observe.tracer import tracing_active
 from repro.shard.plan import ShardPlan
-from repro.shard.transport.base import ShardTransport, ShardWorker
+from repro.shard.transport.base import ExecContext, ShardTransport, ShardWorker
 
 __all__ = ["ShardExecutor", "ThreadTransport"]
 
@@ -41,10 +36,10 @@ class ShardExecutor(ShardWorker):
 
     Every operation this executor performs is recorded on its private
     meter (worker threads have no ambient meters); each task submitted
-    via :meth:`submit_metered` captures its own op-count delta *on the
-    worker*, so several tasks may be in flight concurrently (a queued
-    row push behind a forward task, or the serve dispatcher's
-    overlapping ticks) without their deltas interleaving.
+    via :meth:`submit` captures its own op-count delta *on the worker*,
+    so several tasks may be in flight concurrently (a queued row push
+    behind a forward task, or the serve dispatcher's overlapping ticks)
+    without their deltas interleaving.
     """
 
     def __init__(
@@ -70,25 +65,10 @@ class ShardExecutor(ShardWorker):
 
     def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         """Run ``fn(self, *args, **kwargs)`` on this shard's worker
-        thread under its backend scope, the caller's explicit precision
-        (if any) and this shard's private meter; returns the future."""
+        thread under the caller's :class:`ExecContext`; the future
+        resolves to its reply (see :meth:`ExecContext.run`)."""
         pool = self._require_open()
-        precision = current_precision()
-        return pool.submit(self.run, fn, args, kwargs, precision)
-
-    def submit_metered(
-        self, fn: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Future:
-        """Like :meth:`submit`, but the future resolves to
-        ``(result, op_delta)`` — see :meth:`ShardWorker.run_metered`.
-        The ambient tracing flag is captured here, next to the ambient
-        precision: a task submitted under an active tracer resolves to
-        ``(result, op_delta, spans)`` instead."""
-        pool = self._require_open()
-        precision = current_precision()
-        return pool.submit(
-            self.run_metered, fn, args, kwargs, precision, tracing_active()
-        )
+        return pool.submit(ExecContext.capture().run, self, fn, args, kwargs)
 
     def pull_rows(self, local_idx: np.ndarray) -> np.ndarray:
         """Host copy of the given weight rows (mirror-back path for

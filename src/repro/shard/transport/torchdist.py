@@ -420,7 +420,7 @@ class TorchDistributedTransport(ProcessTransport):
             return bk.asarray(np.array(to_numpy(partials[0]), copy=True))
         with span("allreduce", transport=self.name, g=self.g):
             futures = [
-                ex.submit_metered(
+                ex.submit(
                     _dist_allreduce_task, np.ascontiguousarray(to_numpy(p))
                 )
                 for ex, p in zip(self.executors, partials)
@@ -450,7 +450,7 @@ class TorchDistributedTransport(ProcessTransport):
             return super().map_allreduce_async(fn, *args, bk=bk, **kwargs)
         pending = PendingMap(
             [
-                ex.submit_metered(_fused_collective_task, fn, args, kwargs)
+                ex.submit(_fused_collective_task, fn, args, kwargs)
                 for ex in self.executors
             ]
         )

@@ -132,6 +132,33 @@ class TestBadInputs:
             t.fit(x, y)
 
 
+class TestPredictInputContract:
+    """In-process predict applies the input contract of fit() and
+    ModelServer: each malformed row set is a ConfigurationError, never a
+    bare numpy error or a silent NaN prediction."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, small_xy):
+        x, y = small_xy  # d = 5
+        return EigenPro2(GaussianKernel(bandwidth=2.0), seed=0).fit(
+            x, y, epochs=1
+        )
+
+    def test_wrong_feature_count_rejected(self, fitted):
+        with pytest.raises(ConfigurationError, match="features"):
+            fitted.predict(np.zeros((3, 4)))
+
+    def test_nan_rows_rejected(self, fitted):
+        x = np.zeros((3, 5))
+        x[1, 2] = np.nan
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            fitted.predict(x)
+
+    def test_string_rows_rejected(self, fitted):
+        with pytest.raises(ConfigurationError):
+            fitted.predict(np.zeros((3, 5)).astype(str))
+
+
 class TestSolverCapsAreHonest:
     def test_smo_reports_unconverged(self, small_dataset):
         ds = small_dataset

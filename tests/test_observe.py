@@ -18,12 +18,14 @@ Pins the contracts the rest of the stack relies on:
 from __future__ import annotations
 
 import json
+import pickle
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend
+from repro.backend import NumpyBackend, current_precision, use_precision
 from repro.instrument import OpMeter, meter_scope
 from repro.kernels import GaussianKernel
 from repro.observe import (
@@ -44,6 +46,7 @@ from repro.observe import (
     validate_perfetto,
 )
 from repro.shard import ShardedEigenPro2, registered_transports, transport_available
+from repro.shard.transport import ExecContext, ProcessShardExecutor
 from repro.shard.transport.base import ShardWorker
 
 transports = pytest.mark.parametrize(
@@ -201,14 +204,14 @@ class TestWorkerReplyShapes:
             return float(np.sum(worker.centers))
 
     def test_untraced_reply_is_two_tuple(self):
-        reply = self._worker().run_metered(self._task, (), {}, None)
+        reply = ExecContext().run(self._worker(), self._task, (), {})
         assert len(reply) == 2
         result, delta = reply
         assert isinstance(delta, dict)
 
     def test_traced_reply_appends_shard_stamped_spans(self):
-        reply = self._worker().run_metered(
-            self._task, (), {}, None, True
+        reply = ExecContext(trace=True).run(
+            self._worker(), self._task, (), {}
         )
         assert len(reply) == 3
         result, delta, spans = reply
@@ -217,8 +220,62 @@ class TestWorkerReplyShapes:
         assert payload["attrs"] == {"m": 4, "shard": 2}
 
     def test_worker_trace_does_not_leak_to_caller_stack(self):
-        self._worker().run_metered(self._task, (), {}, None, True)
+        ExecContext(trace=True).run(self._worker(), self._task, (), {})
         assert not tracing_active()
+
+
+def _pipe_task(worker):
+    return None
+
+
+class TestProcessPipeMessage:
+    """The process pipe carries ``(fn, args, kwargs, precision, trace)``:
+    the task plus the fields of the submitter's ExecContext.  An
+    untraced task with no precision scope sends exactly the message the
+    protocol has always sent."""
+
+    class _RecordingConn:
+        def __init__(self):
+            self.sent = []
+
+        def send(self, msg):
+            self.sent.append(msg)
+
+        def recv(self):
+            return ("ok", None, {}, ({}, 0))
+
+        def close(self):
+            pass
+
+    @classmethod
+    def _sent_message(cls):
+        conn = cls._RecordingConn()
+        process = SimpleNamespace(
+            exitcode=0, is_alive=lambda: False, join=lambda timeout=None: None
+        )
+        executor = ProcessShardExecutor(
+            0, process, conn, np.zeros((2, 3)), None
+        )
+        try:
+            reply = executor.submit(_pipe_task, 7, key="v").result()
+        finally:
+            executor.close()
+        assert reply == (None, {})
+        return conn.sent[0]
+
+    def test_untraced_message(self):
+        msg = self._sent_message()
+        assert msg == (_pipe_task, (7,), {"key": "v"}, None, False)
+        assert pickle.dumps(msg) == pickle.dumps(
+            (_pipe_task, (7,), {"key": "v"}, None, False)
+        )
+
+    def test_traced_precision_message(self):
+        with use_precision("float32"), trace_scope(Tracer()):
+            msg = self._sent_message()
+            precision = current_precision()
+        assert precision is not None
+        assert msg == (_pipe_task, (7,), {"key": "v"}, precision, True)
 
 
 class TestTransportSpanRelayParity:

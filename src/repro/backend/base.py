@@ -203,13 +203,16 @@ class ArrayBackend(abc.ABC):
         """
         return a[:, idx]
 
-    def top_eigh(self, a: Any, q: int) -> tuple[np.ndarray, Any]:
+    def top_eigh(
+        self, a: Any, q: int, *, overwrite: bool = False
+    ) -> tuple[np.ndarray, Any]:
         """Top-``q`` eigenpairs of symmetric ``a``, eigenvalues *descending*.
 
         Returns ``(eigvals, eigvecs)`` with ``eigvals`` a NumPy ``(q,)``
         array (see module docstring) and ``eigvecs`` native ``(s, q)``.
-        The default implementation does a full :meth:`eigh` and slices;
-        backends may override with a subset solver.
+        ``overwrite=True`` lets the solver destroy ``a`` instead of
+        copying it.  The default implementation does a full :meth:`eigh`
+        and slices; backends may override with a subset solver.
         """
         vals, vecs = self.eigh(a)
         vals = self.to_numpy(vals)[::-1][:q].copy()

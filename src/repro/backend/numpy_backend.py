@@ -129,8 +129,12 @@ class NumpyBackend(ArrayBackend):
         # about 6x faster on a 2000 x 2000 block (2-CPU x86 host).
         return np.take(a, idx, axis=1)
 
-    def top_eigh(self, a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    def top_eigh(
+        self, a: np.ndarray, q: int, *, overwrite: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         s = a.shape[0]
-        vals, vecs = scipy.linalg.eigh(a, subset_by_index=(s - q, s - 1))
+        vals, vecs = scipy.linalg.eigh(
+            a, subset_by_index=(s - q, s - 1), overwrite_a=overwrite
+        )
         # eigh returns ascending order; flip to descending.
         return vals[::-1].copy(), vecs[:, ::-1].copy()

@@ -335,8 +335,8 @@ class EigenPro2(BaseKernelTrainer):
         self.batch_size_ = params.batch_size
         self.step_size_ = params.eta
         if self.device is not None:
-            # One-time setup cost: the s x s kernel block plus the
-            # (randomized) top-q eigensolve, charged as a single launch.
+            # One-time setup cost: the s x s kernel block plus the top-q
+            # eigensolve, charged as a single launch.
             s_eff, q_cap = params.s, max(params.q_adjusted, 1)
             self.device.charge_iteration(
                 s_eff * s_eff * params.d + s_eff * s_eff * q_cap

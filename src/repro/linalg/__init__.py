@@ -12,8 +12,10 @@ extension::
 where ``(sigma_i, e_i)`` are subsample eigenpairs and ``phi`` is the kernel
 feature map against the subsample points.  This subpackage provides:
 
-- :func:`top_eigensystem` — top-q eigenpairs of a dense symmetric matrix
-  (LAPACK subset or randomized SVD, chosen by size);
+- :func:`top_eigensystem` — top-q eigenpairs of a dense symmetric matrix:
+  the float64 LAPACK subset solve, or for float64 matrices from side 1024
+  up a float32 subset solve refined by one float64 Rayleigh–Ritz step
+  (the randomized range-finder runs only when asked for by name);
 - :class:`NystromExtension` — the lifted eigensystem with operator
   eigenvalue estimates and eigenfunction evaluation;
 - stability helpers (:func:`symmetrize`, :func:`jitter_cholesky`).

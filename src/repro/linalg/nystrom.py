@@ -237,8 +237,11 @@ def nystrom_extension(
     points = x[indices]
     with span("setup/kernel_ss", s=s):
         k_s = kernel(points, points)
-    with span("setup/eigensolve", s=s, q=q):
-        eigvals, eigvecs = top_eigensystem(k_s, q, method=method, seed=seed)
+    with span("setup/eigensolve", s=s, q=q) as solve:
+        # The solver path and its residual land on the span's attributes.
+        eigvals, eigvecs = top_eigensystem(
+            k_s, q, method=method, seed=seed, info=solve.attrs
+        )
         # Guard against tiny negative values from floating point round-off.
         eigvals = np.maximum(eigvals, 0.0)
         # K_s V exactly as projections(points) would form it from a fresh

@@ -11,7 +11,13 @@ from repro.config import use_precision
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
-from repro.linalg import NystromExtension, nystrom_extension, top_eigensystem
+from repro.linalg import (
+    NystromExtension,
+    eigensystem,
+    nystrom_extension,
+    top_eigensystem,
+)
+from repro.observe import Tracer, trace_scope
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +235,31 @@ class TestPointProjections:
         ext = nystrom_extension(kernel, x, 20, 4, seed=0)
         with pytest.raises(ConfigurationError, match="point_projections"):
             dataclasses.replace(ext, point_projections=np.zeros((20, 3)))
+
+
+class TestEigensolveSpan:
+    """The ``setup/eigensolve`` span names the solver that ran and, for
+    the mixed path, its largest relative residual."""
+
+    @pytest.mark.parametrize("solver", ["dense", "mixed"])
+    def test_solver_and_residual_attributes(
+        self, gauss_data, monkeypatch, solver
+    ):
+        kernel, x = gauss_data
+        if solver == "mixed":
+            # "auto" takes the mixed path from this side up.
+            monkeypatch.setattr(eigensystem, "_MIXED_MIN_SIDE", 120)
+        tracer = Tracer()
+        with trace_scope(tracer):
+            ext = nystrom_extension(kernel, x, 120, 10, seed=0)
+        (event,) = [e for e in tracer.events if e.name == "setup/eigensolve"]
+        assert event.attrs["solver"] == solver
+        if solver == "dense":
+            assert "max_residual" not in event.attrs
+            return
+        resid = ext.point_projections - ext.eigvecs * ext.eigvals
+        rel = np.linalg.norm(resid, axis=0) / ext.eigvals
+        assert event.attrs["max_residual"] == pytest.approx(rel.max(), rel=1e-6)
 
 
 class TestValidation:
